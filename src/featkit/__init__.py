@@ -58,7 +58,6 @@ from .retrieval import (
     build_index,
     load_index,
     patch_grid,
-    patch_to_ref_distance,
     query_distance,
     save_index,
     search,

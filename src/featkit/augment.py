@@ -146,16 +146,27 @@ def enlarge_bbox(rect: Rect, factor: float, width: int, height: int) -> Rect:
     return Rect(x, y, nw, nh)
 
 
-def pool_responses(scores, mode: str = "sum") -> float:
-    """Fuse per-representation decision values into one score."""
-    vals = np.asarray(list(scores), dtype=np.float64)
+def pool_responses(scores, mode: str = "sum"):
+    """Fuse per-representation decision values into one score.
+
+    ``scores`` holds one value per representation, or an (r, M) block
+    of r representations by M models, pooled per column into (M,).
+    Each column is pooled as a contiguous run, so a block column gets
+    the bits of the same values pooled on their own.
+    """
+    if not isinstance(scores, np.ndarray):
+        scores = list(scores)
+    vals = np.asarray(scores, dtype=np.float64)
     if vals.size == 0:
         raise EmptyInput("no responses to pool")
+    cols = np.ascontiguousarray(vals.T)
     if mode == "sum":
-        return float(vals.sum())
-    if mode == "max":
-        return float(vals.max())
-    raise ValueError(f"unknown pooling mode {mode!r}")
+        pooled = cols.sum(axis=-1)
+    elif mode == "max":
+        pooled = cols.max(axis=-1)
+    else:
+        raise ValueError(f"unknown pooling mode {mode!r}")
+    return float(pooled) if vals.ndim == 1 else pooled
 
 
 def serialize_plan(plan: TransformPlan, width: int, height: int) -> str:

@@ -168,32 +168,21 @@ def _cmd_predict(args) -> int:
             f"feature dim {matrix.dim} does not match model dim "
             f"{model.input_dim}"
         )
-    groups = _group_rows(matrix)
+    keys = sorted(model.models)
+    scores = svm.decision(model, matrix.values)
+    pooled = {
+        base: augment.pool_responses(scores[rows], args.pooling)
+        for base, rows in _group_rows(matrix).items()
+    }
     lines = []
     if model.strategy == "ovo":
-        for base, rows in groups.items():
-            scores = {
-                key: augment.pool_responses(
-                    [svm.decision(m, matrix.values[i]) for i in rows],
-                    args.pooling,
-                )
-                for key, m in model.models.items()
-            }
-            label = svm.predict_ovo_from_scores(model, scores)
+        for base, vals in pooled.items():
+            label = svm.predict_ovo_from_scores(model, dict(zip(keys, vals)))
             lines.append(f"{base}\t{label}")
     else:
-        kept = sorted(model.models)
-        header = ["id"] + [model.classes[ci] for ci in kept]
+        header = ["id"] + [model.classes[ci] for ci in keys]
         lines.append("\t".join(header))
-        for base, rows in groups.items():
-            vals = [
-                augment.pool_responses(
-                    [svm.decision(model.models[ci], matrix.values[i])
-                     for i in rows],
-                    args.pooling,
-                )
-                for ci in kept
-            ]
+        for base, vals in pooled.items():
             lines.append(base + "\t" + "\t".join(fmt_float(v) for v in vals))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -428,10 +417,9 @@ def _cmd_preprocess_apply(args) -> int:
     model = load_pca_model(args.model)
     matrix = load_features(args.features, args.format)
     cfg = PipelineConfig(model.k, args.power, model.epsilon)
-    rows = np.stack(
-        [retrieval_pipeline_apply(model, cfg, row) for row in matrix.values]
+    out = FeatureMatrix(
+        matrix.ids, retrieval_pipeline_apply(model, cfg, matrix.values)
     )
-    out = FeatureMatrix(matrix.ids, rows)
     _atomic_write(
         args.out, lambda p: save_features(out, p, args.out_format)
     )

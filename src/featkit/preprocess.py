@@ -29,13 +29,20 @@ from .features import FeatureMatrix, fmt_float
 PCAW_MAGIC = "PCAW1"
 
 
+def _unit_rows(a: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` (n, d) scaled to unit length; zero rows pass.
+
+    Row norms come from one dot product per row, stacked into one call,
+    so a row's bits do not depend on the rows beside it.
+    """
+    norms = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0])
+    return a / np.where(norms == 0.0, 1.0, norms)
+
+
 def l2_normalize(v) -> np.ndarray:
     """Scale to unit Euclidean length; the zero vector passes unchanged."""
     a = np.asarray(v, dtype=np.float64)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return a.copy()
-    return a / norm
+    return _unit_rows(a.reshape(1, -1)).reshape(a.shape)
 
 
 def l2_normalize_rows(x) -> np.ndarray:
@@ -150,14 +157,23 @@ def pca_fit(x, k: int, epsilon: float = 1e-10) -> PcaWhitenModel:
 
 
 def pca_whiten_apply(model: PcaWhitenModel, v) -> np.ndarray:
-    """Project onto the fitted basis and scale to unit variance per axis."""
+    """Project onto the fitted basis and scale to unit variance per axis.
+
+    ``v`` is one vector (d,) or rows (n, d).  Each row is projected by its
+    own matrix-vector product, stacked into one call: one GEMM would let
+    the BLAS kernel, chosen by the batch shape, change a row's low bits
+    with the number of rows beside it.  This way a row's result does not
+    depend on its batch, and a batch of one is the single-vector chain.
+    """
     a = np.asarray(v, dtype=np.float64)
-    if a.shape != (model.dim_in,):
+    if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
-    proj = model.components @ (a - model.mean)
-    return proj / np.sqrt(model.eigenvalues + model.epsilon)
+    centered = np.atleast_2d(a) - model.mean
+    proj = np.matmul(model.components, centered[:, :, None])[:, :, 0]
+    out = proj / np.sqrt(model.eigenvalues + model.epsilon)
+    return out[0] if a.ndim == 1 else out
 
 
 def retrieval_pipeline_fit(x, cfg: PipelineConfig = PipelineConfig()
@@ -183,15 +199,18 @@ def retrieval_pipeline_fit(x, cfg: PipelineConfig = PipelineConfig()
 
 def retrieval_pipeline_apply(model: PcaWhitenModel, cfg: PipelineConfig,
                              v) -> np.ndarray:
-    """Full chain for one vector; output has dimension ``model.k``."""
-    z = l2_normalize(v)
-    if z.shape != (model.dim_in,):
+    """Full chain for one vector (d,) or for each row of (n, d).
+
+    Output has ``model.k`` columns; a 1-D input is a batch of one.
+    """
+    a = np.asarray(v, dtype=np.float64)
+    if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
-            f"vector dim {z.shape} does not match model dim {model.dim_in}"
+            f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
-    z = pca_whiten_apply(model, z)
-    z = l2_normalize(z)
-    return signed_power(z, cfg.power)
+    z = pca_whiten_apply(model, _unit_rows(np.atleast_2d(a)))
+    out = signed_power(_unit_rows(z), cfg.power)
+    return out[0] if a.ndim == 1 else out
 
 
 def dump_pca_model_text(model: PcaWhitenModel) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,13 +84,21 @@ class RetrievalIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        expected = patch_count(self.config.h_r)
+        expected = (patch_count(self.config.h_r), self.model.k)
         for e in self.entries:
-            if e.vectors.shape[0] != expected:
+            if e.vectors.shape != expected:
                 raise ValueError(
-                    f"entry {e.ref_id!r} has {e.vectors.shape[0]} patches, "
-                    f"expected {expected}"
+                    f"entry {e.ref_id!r} has {e.vectors.shape} patch "
+                    f"vectors, expected {expected}"
                 )
+
+    @cached_property
+    def patch_matrix(self):
+        """All reference patches stacked as one (N * P, k) float64 matrix,
+        entry after entry, with their squared norms; built on first use."""
+        refs = np.concatenate([e.vectors for e in self.entries])
+        refs = refs.astype(np.float64)
+        return refs, np.einsum("ij,ij->i", refs, refs)
 
 
 def patch_count(levels: int) -> int:
@@ -171,26 +180,13 @@ def build_index(references, config: SpatialSearchConfig, binding
         per_ref.append((ref_id, rects, raw))
     pooled = np.vstack([raw for _, _, raw in per_ref])
     model = retrieval_pipeline_fit(pooled, config.pipeline)
-    entries = []
-    for ref_id, rects, raw in per_ref:
-        processed = np.stack(
-            [retrieval_pipeline_apply(model, config.pipeline, row)
-             for row in raw]
-        ).astype(np.float32)
-        entries.append(ReferenceEntry(ref_id, rects, processed))
+    processed = retrieval_pipeline_apply(model, config.pipeline, pooled)
+    blocks = np.split(processed.astype(np.float32), len(per_ref))
+    entries = [
+        ReferenceEntry(ref_id, rects, block)
+        for (ref_id, rects, _), block in zip(per_ref, blocks)
+    ]
     return RetrievalIndex(tuple(entries), model, config)
-
-
-def patch_to_ref_distance(query_vec, entry_vectors) -> float:
-    """Minimum L2 distance from one query patch to any reference patch."""
-    q = np.asarray(query_vec, dtype=np.float64)
-    r = np.asarray(entry_vectors, dtype=np.float64)
-    if r.ndim != 2 or q.shape != (r.shape[1],):
-        raise DimMismatch(
-            f"query dim {q.shape} vs reference patches {r.shape}"
-        )
-    d = np.sqrt(((r - q) ** 2).sum(axis=1))
-    return float(d.min())
 
 
 def query_distance(query_vecs, entry_vectors) -> float:
@@ -209,19 +205,29 @@ def query_distance(query_vecs, entry_vectors) -> float:
 
 def query_patch_vectors(index: RetrievalIndex, query, binding,
                         h_q: int | None = None) -> np.ndarray:
-    """Processed query patch vectors (float32, like the index side)."""
+    """Processed query patch vectors (float32, like the index side).
+
+    A raw patch matrix (ndarray or FeatureMatrix) must hold exactly
+    ``patch_count(h_q)`` finite rows.
+    """
     levels = h_q if h_q is not None else index.config.h_q
     if levels < 1:
         raise ValueError("h_q must be at least 1")
     if isinstance(query, FeatureMatrix):
-        raw = query.values
-    elif isinstance(query, np.ndarray):
+        query = query.values
+    if isinstance(query, np.ndarray):
         raw = np.atleast_2d(np.asarray(query, dtype=np.float64))
+        if raw.shape[0] != patch_count(levels):
+            raise DimMismatch(
+                f"query has {raw.shape[0]} patch rows, h_q={levels} "
+                f"needs {patch_count(levels)}"
+            )
     else:
         _, raw = _raw_patches(binding, "q", query, levels)
-    processed = np.stack(
-        [retrieval_pipeline_apply(index.model, index.config.pipeline, row)
-         for row in raw]
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("query patch features must be finite")
+    processed = retrieval_pipeline_apply(
+        index.model, index.config.pipeline, raw
     )
     return processed.astype(np.float32)
 
@@ -233,14 +239,45 @@ def search(index: RetrievalIndex, query, binding=None, *,
     ``query`` may be an image (extracted through ``binding``) or an
     already-extracted raw patch matrix.  Returns at most ``top_k``
     (reference id, distance) pairs; ties order by reference id.
+
+    One GEMM over ``index.patch_matrix`` gives every patch-to-patch
+    squared distance as |q|^2 + |r|^2 - 2 q.r, and from it an
+    approximate score per reference.  Only the references that can
+    still reach the top ``top_k`` are re-ranked with
+    :func:`query_distance`, so the result equals brute force exactly.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     q = query_patch_vectors(index, query, binding, h_q)
-    scored = [
-        (query_distance(q, e.vectors), e.ref_id) for e in index.entries
-    ]
-    scored.sort()
+    n_refs = len(index.entries)
+    if n_refs == 0:
+        return []
+    refs, ref_sq = index.patch_matrix
+    q64 = q.astype(np.float64)
+    q_sq = np.einsum("ij,ij->i", q64, q64)
+    sq = q_sq[:, None] + ref_sq[None, :] - 2.0 * (q64 @ refs.T)
+    np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
+    m, dim = q.shape
+    approx = sq.reshape(m, n_refs, -1).min(axis=2).mean(axis=0)
+    # Candidate bound.  Let u be the unit roundoff and M = max|q_i| +
+    # max|r_j|.  Each squared distance above is within (dim + 2) u M^2
+    # of the true one (to first order), so its clamped root is within
+    # sqrt((dim + 2) u) M of the true distance, as |sqrt a - sqrt b| <=
+    # sqrt|a - b|; the roots, min and mean add at most (m + 2) u M.  The
+    # exact re-rank is off by at most (dim + m + 3) u M.  delta doubles
+    # both terms to cover higher-order rounding.  With every approximate
+    # score within delta of its exact one, a reference in the exact top
+    # k, ties included, scores at most the k-th smallest approximate
+    # score plus 2 delta, so the candidates contain the exact result.
+    u = np.finfo(np.float64).eps / 2.0
+    big_m = float(np.sqrt(q_sq.max()) + np.sqrt(ref_sq.max()))
+    delta = 2.0 * big_m * (np.sqrt((dim + 2) * u) + (dim + 2 * m + 5) * u)
+    keep = min(top_k, n_refs)
+    kth = np.partition(approx, keep - 1)[keep - 1]
+    scored = sorted(
+        (query_distance(q, index.entries[i].vectors), index.entries[i].ref_id)
+        for i in np.flatnonzero(approx <= kth + 2.0 * delta)
+    )
     return [(ref_id, dist) for dist, ref_id in scored[:top_k]]
 
 

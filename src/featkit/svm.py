@@ -190,17 +190,34 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     return BinaryModel(w=w, C_used=c, objective_value=obj, bias=cfg.bias)
 
 
-def decision(model: BinaryModel, x) -> float:
-    """Raw linear score w.x (+ bias weight when enabled)."""
+def decision(model, x):
+    """Raw linear scores w.x (+ bias weight when enabled).
+
+    ``model`` is a :class:`BinaryModel`, or a :class:`MulticlassModel`
+    whose binary models are stacked in sorted key order; ``x`` is one
+    vector (d,) or rows (n, d).  All scores come from one product
+    ``x @ W.T + b``.  A binary model gives a float for one vector and
+    (n,) for rows; a multiclass model gives (M,) or (n, M).
+    """
+    if isinstance(model, MulticlassModel):
+        w = np.stack([model.models[key].w for key in sorted(model.models)])
+    else:
+        w = model.w[None, :]
     a = np.asarray(x, dtype=np.float64)
-    if a.shape != (model.input_dim,):
+    if a.ndim not in (1, 2) or a.shape[-1] != model.input_dim:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim "
             f"{model.input_dim}"
         )
+    rows = np.atleast_2d(a)
     if model.bias:
-        return float(model.w[:-1] @ a + model.w[-1])
-    return float(model.w @ a)
+        scores = rows @ w[:, :-1].T + w[:, -1]
+    else:
+        scores = rows @ w.T
+    if isinstance(model, BinaryModel):
+        scores = scores[:, 0]
+        return float(scores[0]) if a.ndim == 1 else scores
+    return scores[0] if a.ndim == 1 else scores
 
 
 def _label_sets(labels) -> dict:
@@ -302,20 +319,23 @@ def predict_ovo_from_scores(model: MulticlassModel, pair_scores: dict):
 
 
 def predict_ovo(model: MulticlassModel, x):
-    """Voted label for one input vector."""
-    scores = {
-        key: decision(m, x) for key, m in model.models.items()
-    }
-    return predict_ovo_from_scores(model, scores)
+    """Voted label for one input vector, or a list of labels for rows."""
+    keys = sorted(model.models)
+    scores = decision(model, x)
+    if scores.ndim == 1:
+        return predict_ovo_from_scores(model, dict(zip(keys, scores)))
+    return [predict_ovo_from_scores(model, dict(zip(keys, row)))
+            for row in scores]
 
 
 def ova_scores(model: MulticlassModel, x) -> np.ndarray:
-    """Per-class decision values; skipped classes score NaN."""
+    """Per-class decision values, (K,) or (n, K); skipped classes are NaN."""
     if model.strategy != "ova":
         raise ValueError("per-class scores require a one-vs-all model")
-    out = np.full(len(model.classes), np.nan)
-    for ci, m in model.models.items():
-        out[ci] = decision(m, x)
+    a = np.asarray(x, dtype=np.float64)
+    out = np.full(a.shape[:-1] + (len(model.classes),), np.nan)
+    if model.models:
+        out[..., sorted(model.models)] = decision(model, a)
     return out
 
 

@@ -190,6 +190,14 @@ class TestPoolResponses:
         )
         assert pool_responses(a + a, "max") == pool_responses(a, "max")
 
+    def test_block_pools_each_column_like_its_own_list(self, rng):
+        block = rng.normal(size=(16, 5)) * 1e3
+        for mode in ("sum", "max"):
+            pooled = pool_responses(block, mode)
+            assert pooled.shape == (5,)
+            for j in range(5):
+                assert pooled[j] == pool_responses(list(block[:, j]), mode)
+
 
 class TestAugmentTrainingSet:
     def test_toy_sixteen_rows_per_sample(self, rng):

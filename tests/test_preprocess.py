@@ -142,6 +142,13 @@ class TestWhitening:
         with pytest.raises(DimMismatch):
             pca_whiten_apply(model, np.zeros(5))
 
+    def test_rows_match_per_vector(self, rng):
+        x = rng.normal(size=(30, 9))
+        model = pca_fit(x, 5)
+        batch = pca_whiten_apply(model, x)
+        per_row = np.stack([pca_whiten_apply(model, row) for row in x])
+        assert np.abs(batch - per_row).max() <= 1e-12
+
 
 class TestRetrievalPipeline:
     def test_clamps_with_warning(self, rng):
@@ -193,6 +200,34 @@ class TestRetrievalPipeline:
             # undo the signed square: |out|**0.5 recovers the unit vector
             pre = np.sign(out) * np.sqrt(np.abs(out))
             assert abs(np.linalg.norm(pre) - 1.0) <= 1e-12
+
+    def test_rows_equal_per_vector_chain(self, rng):
+        # each row is processed by its own matrix-vector products, so the
+        # batch agrees with the one-vector chain bit for bit
+        x = rng.normal(size=(40, 24))
+        cfg = PipelineConfig(pca_dim=10)
+        model = retrieval_pipeline_fit(x, cfg)
+        batch_in = rng.normal(size=(25, 24)) * rng.choice(
+            [1e-4, 1.0, 1e4], size=(25, 1)
+        )
+        batch_in[7] = 0.0
+        batch = retrieval_pipeline_apply(model, cfg, batch_in)
+        assert batch.shape == (25, 10)
+        per_row = np.stack(
+            [retrieval_pipeline_apply(model, cfg, row) for row in batch_in]
+        )
+        assert np.abs(batch - per_row).max() <= 1e-12
+        assert np.array_equal(batch, per_row)
+        head = retrieval_pipeline_apply(model, cfg, batch_in[:3])
+        assert np.array_equal(head, batch[:3])
+
+    def test_rows_dim_mismatch(self, rng):
+        cfg = PipelineConfig(pca_dim=2)
+        model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), cfg)
+        with pytest.raises(DimMismatch):
+            retrieval_pipeline_apply(model, cfg, np.zeros((3, 5)))
+        with pytest.raises(DimMismatch):
+            retrieval_pipeline_apply(model, cfg, np.zeros((2, 3, 4)))
 
     def test_k1_output_is_signed_unit(self, rng):
         x = rng.normal(size=(10, 3))

@@ -12,14 +12,15 @@ from featkit.features import FeatureMatrix, PixelGrid, Rect
 from featkit.preprocess import PipelineConfig
 from featkit.retrieval import (
     ReferenceEntry,
+    RetrievalIndex,
     SpatialSearchConfig,
     build_index,
     level_rects,
     load_index,
     patch_count,
     patch_grid,
-    patch_to_ref_distance,
     query_distance,
+    query_patch_vectors,
     save_index,
     search,
 )
@@ -107,19 +108,19 @@ class TestPatchGrid:
 class TestDistances:
     def test_identical_patch_distance_zero(self, rng):
         refs = rng.normal(size=(30, 8))
-        assert patch_to_ref_distance(refs[17], refs) == 0.0
+        assert query_distance(refs[17:18], refs) == 0.0
 
     def test_single_patch_plain_l2(self, rng):
-        q = rng.normal(size=5)
+        q = rng.normal(size=(1, 5))
         r = rng.normal(size=(1, 5))
-        expected = float(np.linalg.norm(q - r[0]))
-        assert patch_to_ref_distance(q, r) == pytest.approx(expected)
+        expected = float(np.linalg.norm(q[0] - r[0]))
+        assert query_distance(q, r) == pytest.approx(expected)
 
     def test_matches_bruteforce(self, rng):
         for _ in range(50):
             q = rng.normal(size=6)
             refs = rng.normal(size=(30, 6))
-            assert patch_to_ref_distance(q, refs) == pytest.approx(
+            assert query_distance(q[None, :], refs) == pytest.approx(
                 min_distance_oracle(q, refs), abs=1e-9
             )
 
@@ -264,6 +265,106 @@ class TestSearch:
             crop = grid.intensities[8:40, 8:40]
             ranked = search(index, PixelGrid(crop), toy, top_k=1)
             assert ranked[0][0] == rid
+
+
+def _file_backed_index(rng, n_refs, h_r=2, h_q=2, dim=12, pca_dim=8):
+    """Index over random raw patches; ref ``r1`` duplicates ``r0``."""
+    n_patches = patch_count(h_r)
+    raw = {f"r{i}": rng.normal(size=(n_patches, dim)) for i in range(n_refs)}
+    raw["r1"] = raw["r0"].copy()
+    ids = [f"{r}#{k}" for r in raw for k in range(n_patches)]
+    store = FeatureMatrix(tuple(ids), np.vstack(list(raw.values())))
+    cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q,
+                              pipeline=PipelineConfig(pca_dim=pca_dim))
+    index = build_index([(r, None) for r in raw], cfg,
+                        FileBackedExtractor(store))
+    return index, raw
+
+
+def _near_twins(rng, index, count):
+    """Copies of random entries with one component moved one float32 ulp."""
+    twins = []
+    for t in range(count):
+        src = index.entries[rng.integers(len(index.entries))]
+        vecs = src.vectors.copy()
+        i, j = rng.integers(vecs.shape[0]), rng.integers(vecs.shape[1])
+        vecs[i, j] = np.nextafter(vecs[i, j], np.float32(np.inf))
+        twins.append(ReferenceEntry(f"t{t}", (), vecs))
+    return RetrievalIndex(index.entries + tuple(twins), index.model,
+                          index.config)
+
+
+def _brute_force(index, q):
+    scored = sorted(
+        (query_distance_oracle(q, e.vectors), e.ref_id)
+        for e in index.entries
+    )
+    return [(ref_id, dist) for dist, ref_id in scored]
+
+
+class TestSearchEqualsBruteForce:
+    def test_randomized_rankings(self):
+        rng = np.random.default_rng(20140306)
+        for trial in range(12):
+            base, raw = _file_backed_index(rng, n_refs=int(rng.integers(4, 9)))
+            index = _near_twins(rng, base, count=4)
+            n = len(index.entries)
+            src = f"r{rng.integers(2, n - 4)}"
+            queries = [
+                raw[src][::-1].copy(),  # self-match
+                raw["r0"] + 0.1 * rng.normal(size=raw["r0"].shape),
+                rng.normal(size=(patch_count(2), 12)),
+            ]
+            for raw_q in queries:
+                q = query_patch_vectors(index, raw_q, None)
+                expected = _brute_force(index, q)
+                for top_k in (1, 2, 3, 5, n - 1, n, n + 3):
+                    got = search(index, raw_q, top_k=top_k)
+                    want = expected[:top_k]
+                    assert [r for r, _ in got] == [r for r, _ in want]
+                    for (_, dg), (_, dw) in zip(got, want):
+                        assert abs(dg - dw) <= 1e-12
+            assert search(index, queries[0], top_k=1) == [(src, 0.0)]
+
+    def test_duplicate_references_tie_in_id_order(self, rng):
+        index, raw = _file_backed_index(rng, n_refs=5)
+        ranked = search(index, raw["r0"], top_k=5)
+        assert [r for r, _ in ranked[:2]] == ["r0", "r1"]
+        assert ranked[0][1] == ranked[1][1] == 0.0
+
+    def test_near_ties_inside_rounding_bound_rank_exactly(self, rng):
+        index, raw = _file_backed_index(rng, n_refs=6)
+        index = _near_twins(rng, index, count=6)
+        raw_q = rng.normal(size=(patch_count(2), 12))
+        q = query_patch_vectors(index, raw_q, None)
+        exact = {e.ref_id: query_distance(q, e.vectors)
+                 for e in index.entries}
+        gaps = sorted(np.diff(sorted(exact.values())))
+        assert 0.0 < gaps[sum(g == 0.0 for g in gaps)] < 1e-6
+        ranked = search(index, raw_q, top_k=len(exact))
+        assert ranked == sorted(exact.items(), key=lambda kv: (kv[1], kv[0]))
+
+
+class TestSearchRejectsBadQueries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query(self, rng, bad):
+        index, _ = _file_backed_index(rng, n_refs=4, h_q=1)
+        query = rng.normal(size=(1, 12))
+        query[0, 3] = bad
+        with pytest.raises(ValueError):
+            search(index, query)
+
+    def test_patch_count_must_match_h_q(self, rng):
+        index, raw = _file_backed_index(rng, n_refs=4, h_q=1)
+        with pytest.raises(DimMismatch):
+            search(index, rng.normal(size=(7, 12)))
+        with pytest.raises(DimMismatch):
+            search(index, raw["r2"], h_q=1)
+        store = FeatureMatrix(tuple(f"q#{k}" for k in range(5)),
+                              rng.normal(size=(5, 12)))
+        with pytest.raises(DimMismatch):
+            search(index, store)
+        assert len(search(index, store, h_q=2, top_k=3)) == 3
 
 
 class TestIndexPersistence:

@@ -133,6 +133,50 @@ class TestDecision:
         with pytest.raises(DimMismatch):
             decision(m, np.zeros(3))
 
+    def test_rows_dim_mismatch(self):
+        m = BinaryModel(np.array([1.0, -1.0]), 1.0, 0.0, bias=False)
+        with pytest.raises(DimMismatch):
+            decision(m, np.zeros((4, 3)))
+        with pytest.raises(DimMismatch):
+            decision(m, np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_binary_rows_match_per_row(self, rng, bias):
+        m = BinaryModel(rng.normal(size=7 + bias), 1.0, 0.0, bias=bias)
+        x = rng.normal(size=(40, 7)) * 10.0
+        batch = decision(m, x)
+        assert batch.shape == (40,)
+        per_row = np.asarray([decision(m, row) for row in x])
+        assert np.abs(batch - per_row).max() <= 1e-12 * (
+            1.0 + np.abs(per_row).max()
+        )
+
+    def test_multiclass_rows_match_per_model_rows(self, rng):
+        feats, labels = _blobs(rng, classes=("a", "b", "c", "d"))
+        x = rng.normal(size=(30, feats.dim)) * 3.0
+        for train in (train_one_vs_all, train_one_vs_one):
+            model = train(feats, labels, SolverConfig(C=1.0))
+            keys = sorted(model.models)
+            batch = decision(model, x)
+            assert batch.shape == (30, len(keys))
+            per_row = np.asarray([
+                [decision(model.models[key], row) for key in keys]
+                for row in x
+            ])
+            assert np.abs(batch - per_row).max() <= 1e-12
+            assert np.abs(decision(model, x[3]) - batch[3]).max() <= 1e-12
+
+    def test_ova_scores_and_votes_on_rows(self, rng):
+        feats, labels = _blobs(rng, classes=("a", "b", "c", "d"))
+        x = rng.normal(size=(30, feats.dim)) * 3.0
+        ova = train_one_vs_all(feats, labels, SolverConfig(C=1.0))
+        rows = ova_scores(ova, x)
+        assert rows.shape == (30, 4)
+        for i, row in enumerate(x):
+            assert np.abs(rows[i] - ova_scores(ova, row)).max() <= 1e-12
+        ovo = train_one_vs_one(feats, labels, SolverConfig(C=1.0))
+        assert predict_ovo(ovo, x) == [predict_ovo(ovo, row) for row in x]
+
 
 def _blobs(rng, n_per_class=20, d=6, spread=0.25, classes=("a", "b", "c")):
     centers = rng.normal(size=(len(classes), d)) * 2.0
