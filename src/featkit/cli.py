@@ -93,8 +93,8 @@ def _resolve_c(args) -> float:
     if args.preset is not None:
         return svm.C_PRESETS[args.preset]
     if args.C is not None:
-        if args.C <= 0:
-            raise ValueError("--C must be positive")
+        if not (math.isfinite(args.C) and args.C > 0):
+            raise ValueError("--C must be positive and finite")
         return args.C
     raise ValueError("one of --C or --preset is required")
 
@@ -121,6 +121,9 @@ def _cmd_train(args) -> int:
         )
         report_lines.append(f"augmented_per_source\t{len(plans)}")
 
+    # Warnings are recorded, not printed: skipped classes go to the
+    # report, and unconverged models (read from each model's solver
+    # stats, which carry its key) go to the report and to stderr.
     skipped = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -135,14 +138,31 @@ def _cmd_train(args) -> int:
     report_lines.append(f"classes\t{len(model.classes)}")
     report_lines.append(f"rows\t{matrix.n}")
     report_lines.append(f"C\t{fmt_float(c)}")
-    for key in sorted(model.models):
-        m = model.models[key]
-        key_s = svm.format_model_key(model.strategy, key)
+    keyed = [
+        (svm.format_model_key(model.strategy, key), model.models[key])
+        for key in sorted(model.models)
+    ]
+    for key_s, m in keyed:
         report_lines.append(
             f"objective\t{key_s}\t{fmt_float(m.objective_value)}"
         )
     for msg in skipped:
         report_lines.append(f"skipped\t{msg}")
+    for key_s, m in keyed:
+        st = m.stats
+        report_lines.append(
+            f"solver\t{key_s}\t{st.epochs}\t{st.visits}\t"
+            f"{fmt_float(st.gap)}\t{int(st.converged)}"
+        )
+    for key_s, m in keyed:
+        st = m.stats
+        if not st.converged:
+            report_lines.append(f"unconverged\t{key_s}\t{fmt_float(st.gap)}")
+            print(
+                f"featkit: model {key_s} did not converge in "
+                f"{st.epochs} epochs (duality gap {st.gap:.3g})",
+                file=sys.stderr,
+            )
 
     _atomic_write(args.model_out, lambda p: svm.save_model(model, p))
     if args.report:

@@ -67,3 +67,7 @@ class ClampedDimensionWarning(UserWarning):
 
 class SkippedClassWarning(UserWarning):
     """A degenerate one-vs-all subproblem was skipped during training."""
+
+
+class ConvergenceWarning(UserWarning):
+    """A solver hit its epoch limit before its stop test passed."""

@@ -141,6 +141,58 @@ def svm_subgradient_oracle_batch(instances, steps=SVM_ORACLE_STEPS):
     return best.tolist()
 
 
+def dual_cd_reference(x, y, c, bias, tol=1e-8, max_epochs=10000, seed=0):
+    """Unshrunk dual coordinate descent: every coordinate, every epoch.
+
+    The solver's loop before shrinking, kept as the reference that the
+    shrinking solver must agree with.  Same seeded visiting order, same
+    duality-gap stop test.  Returns ``(w, objective, epochs)``; ``w``
+    carries the bias weight last when ``bias`` is set.
+    """
+    xa = np.asarray(x, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64)
+    if bias:
+        xa = np.hstack([xa, np.ones((xa.shape[0], 1))])
+    n = xa.shape[0]
+    xy = xa * ya[:, None]
+    qdiag = np.einsum("ij,ij->i", xy, xy)
+    w = np.zeros(xa.shape[1])
+    alpha = np.zeros(n)
+    rng = np.random.default_rng(seed)
+    epochs = 0
+    for epochs in range(1, max_epochs + 1):
+        max_pg = 0.0
+        for i in rng.permutation(n):
+            row = xy[i]
+            g = float(row @ w) - 1.0
+            a = alpha[i]
+            if a <= 0.0:
+                pg = min(g, 0.0)
+            elif a >= c:
+                pg = max(g, 0.0)
+            else:
+                pg = g
+            if pg != 0.0:
+                max_pg = max(max_pg, abs(pg))
+                if qdiag[i] > 0.0:
+                    new = min(max(a - g / qdiag[i], 0.0), c)
+                else:
+                    new = c if g < 0.0 else 0.0
+                if new != a:
+                    alpha[i] = new
+                    w += (new - a) * row
+        if max_pg < 1e-12:
+            break
+        margins = xy @ w
+        primal = 0.5 * float(w @ w) + c * float(
+            np.maximum(0.0, 1.0 - margins).sum()
+        )
+        dual_bound = float(alpha.sum()) - 0.5 * float(w @ w)
+        if primal - dual_bound <= tol * (1.0 + abs(primal)):
+            break
+    return w, hinge_objective(w, xa, ya, c), epochs
+
+
 # --------------------------------------------------------------------
 # Ranking-metric oracles (plain Python, quadratic-time)
 # --------------------------------------------------------------------

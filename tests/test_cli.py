@@ -213,6 +213,50 @@ class TestTrainPredict:
             "--strategy", "ovo",
             "--model-out", tmp_path / "m.tsvm",
         ) == 2  # neither --C nor --preset
+        for flag, value in (("--C", "nan"), ("--C", "inf"), ("--tol", "nan"),
+                            ("--tol", "inf")):
+            args = {"--C": "1", flag: value}
+            assert run(
+                "train", "--features", fpath, "--labels", lpath,
+                "--strategy", "ovo", "--model-out", tmp_path / "m.tsvm",
+                *[t for kv in args.items() for t in kv],
+            ) == 2
+
+    def test_solver_lines_in_report(self, blob_data, tmp_path):
+        _, _, fpath, lpath = blob_data
+        report_path = tmp_path / "train.tsv"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ovo", "--C", "1.0",
+            "--model-out", tmp_path / "m.tsvm", "--report", report_path,
+        ) == 0
+        rows = [ln.split("\t") for ln in report_path.read_text().splitlines()]
+        objective = {r[1]: float(r[2]) for r in rows if r[0] == "objective"}
+        solver = [r for r in rows if r[0] == "solver"]
+        assert [r[1] for r in solver] == ["0,1", "0,2", "1,2"]
+        for _, key, epochs, visits, gap, converged in solver:
+            assert int(epochs) >= 1
+            assert 1 <= int(visits) <= int(epochs) * 16
+            assert float(gap) <= 1e-8 * (1.0 + abs(objective[key]))
+            assert converged == "1"
+        assert not any(r[0] == "unconverged" for r in rows)
+
+    def test_unconverged_model_reported(self, blob_data, tmp_path, capsys):
+        _, _, fpath, lpath = blob_data
+        report_path = tmp_path / "train.tsv"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ova", "--C", "1.0", "--max-epochs", "1",
+            "--model-out", tmp_path / "m.tsvm", "--report", report_path,
+        ) == 0
+        rows = [ln.split("\t") for ln in report_path.read_text().splitlines()]
+        solver = {r[1]: r for r in rows if r[0] == "solver"}
+        unconverged = [r for r in rows if r[0] == "unconverged"]
+        assert [r[1] for r in unconverged] == ["0", "1", "2"]
+        for _, key, gap in unconverged:
+            assert solver[key][2:] == ["1", "24", gap, "0"]
+            assert float(gap) > 0.0
+        assert capsys.readouterr().err.count("did not converge") == 3
 
 
 class TestEvaluate:

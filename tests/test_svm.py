@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from featkit.errors import (
+    ConvergenceWarning,
     DimMismatch,
     MalformedFile,
     SingleClassData,
@@ -25,7 +26,12 @@ from featkit.svm import (
     train_one_vs_all,
     train_one_vs_one,
 )
-from oracles import make_svm_instances, ovo_vote_oracle, svm_subgradient_oracle
+from oracles import (
+    dual_cd_reference,
+    make_svm_instances,
+    ovo_vote_oracle,
+    svm_subgradient_oracle,
+)
 
 SEP_X = np.array([[1.0], [-1.0]])
 SEP_Y = np.array([1.0, -1.0])
@@ -117,6 +123,84 @@ class TestTrainBinary:
         m = train_binary(x, y, SolverConfig(C=10.0, bias=True))
         preds = [np.sign(decision(m, row)) for row in x]
         assert preds == [-1.0, -1.0, 1.0, 1.0]
+
+
+def _shrinking_instance(seed, c, bias):
+    """n=300, d=40 with overlapping classes, so many duals end at 0 or C;
+    rows 20-29 duplicate rows 0-9, row 30 is row 0 with the opposite
+    label, and the last row is all zero."""
+    rng = np.random.default_rng(seed)
+    n, d = 300, 40
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    x = rng.normal(size=(n, d)) + 0.4 * y[:, None] * rng.normal(size=d)
+    x[20:30], y[20:30] = x[:10], y[:10]
+    x[30], y[30] = x[0], -y[0]
+    x[-1] = 0.0
+    return x, y, SolverConfig(C=c, bias=bias)
+
+
+SHRINKING_CASES = [(0.2, True), (0.2, False), (2.0, True), (2.0, False)]
+
+
+class TestShrinking:
+    @pytest.mark.parametrize("seed,case", enumerate(SHRINKING_CASES))
+    def test_matches_unshrunk_reference(self, seed, case):
+        x, y, cfg = _shrinking_instance(seed, *case)
+        _, ref, _ = dual_cd_reference(x, y, cfg.C, cfg.bias, tol=cfg.tol)
+        m = train_binary(x, y, cfg)
+        obj = m.objective_value
+        assert abs(obj - ref) <= 2 * cfg.tol * (1.0 + abs(obj))
+        assert m.stats.converged
+        assert m.stats.gap <= cfg.tol * (1.0 + abs(obj))
+        assert m.stats.visits < m.stats.epochs * x.shape[0]
+
+    def test_rerun_bit_identical(self):
+        x, y, cfg = _shrinking_instance(0, 2.0, True)
+        a = train_binary(x, y, cfg)
+        b = train_binary(x, y, cfg)
+        assert np.array_equal(a.w, b.w)
+        assert a.objective_value == b.objective_value
+        assert a.stats == b.stats
+
+    def test_epoch_limit_warns(self):
+        x, y, _ = _shrinking_instance(0, 1.0, True)
+        with pytest.warns(ConvergenceWarning):
+            m = train_binary(x, y, SolverConfig(C=1.0, max_epochs=1))
+        assert m.stats.epochs == 1
+        assert m.stats.visits == x.shape[0]
+        assert not m.stats.converged
+        assert m.stats.gap > 1e-8 * (1.0 + abs(m.objective_value))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_c_and_tol_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(C=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(C=1.0, tol=bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.array([[1.0, 0.0], [bad, 1.0], [-1.0, 0.5], [0.2, -1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            train_binary(x, np.array([1.0, -1.0, -1.0, 1.0]),
+                         SolverConfig(C=1.0))
+
+    def test_stats_not_saved(self, tmp_path, rng):
+        feats, labels = _blobs(rng)
+        model = train_one_vs_all(feats, labels, SolverConfig(C=1.0))
+        bare = MulticlassModel(
+            "ova", model.classes,
+            {k: BinaryModel(m.w, m.C_used, m.objective_value, m.bias)
+             for k, m in model.models.items()},
+            model.bias,
+        )
+        save_model(model, tmp_path / "a.tsvm")
+        save_model(bare, tmp_path / "b.tsvm")
+        assert (tmp_path / "a.tsvm").read_bytes() == (
+            tmp_path / "b.tsvm"
+        ).read_bytes()
+        assert all(m.stats is None
+                   for m in load_model(tmp_path / "a.tsvm").models.values())
 
 
 class TestDecision:
