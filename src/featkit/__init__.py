@@ -17,8 +17,6 @@ from .extractors import (
     ExternalProcessExtractor,
     FileBackedExtractor,
     ToyPixelExtractor,
-    external_protocol_roundtrip,
-    extract,
 )
 from .features import (
     FeatureMatrix,

@@ -1,51 +1,20 @@
 """Geometric augmentation planning and test-time response pooling.
 
-A :class:`TransformPlan` is geometry only: crop rectangle (or full image),
-rotation about the image centre, and a horizontal-mirror flag.  Pixel
-resampling is the extractor's job.  The plan semantics are: rotate the
-image in place, crop in that frame, then mirror the cropped patch.
+Plans are :class:`TransformPlan` geometry (see :mod:`featkit.extractors`);
+pixel resampling is the extractor's job.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateImage, EmptyInput, ExtractorFailure
-from .extractors import (
-    ExternalProcessExtractor,
-    FileBackedExtractor,
-    format_region,
-    run_protocol,
-)
+from .errors import DegenerateImage, EmptyInput
+from .extractors import TransformPlan, serialize_plan  # noqa: F401 - re-export
 from .features import FeatureMatrix, Rect, iround
 from .preprocess import l2_normalize
-
-
-@dataclass(frozen=True)
-class TransformPlan:
-    """Crop (None means full image), rotation in degrees CCW, mirror flag."""
-
-    crop: Rect | None = None
-    rotation_degrees: float = 0.0
-    mirrored: bool = False
-
-    def __post_init__(self):
-        if not -180.0 < self.rotation_degrees <= 180.0:
-            raise ValueError("rotation must lie in (-180, 180] degrees")
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.crop is None
-            and self.rotation_degrees == 0.0
-            and not self.mirrored
-        )
-
-    def mirror_toggled(self) -> "TransformPlan":
-        return replace(self, mirrored=not self.mirrored)
 
 
 @dataclass(frozen=True)
@@ -169,12 +138,6 @@ def pool_responses(scores, mode: str = "sum"):
     return float(pooled) if vals.ndim == 1 else pooled
 
 
-def serialize_plan(plan: TransformPlan, width: int, height: int) -> str:
-    """Protocol region field for a plan, e.g. ``0,0,64,64;rot=20.0;mir=1``."""
-    rect = plan.crop if plan.crop is not None else Rect(0, 0, width, height)
-    return format_region(rect, plan.rotation_degrees, plan.mirrored)
-
-
 def plan_representation_id(sample_id: str, plan_index: int) -> str:
     """Key under which a (sample, plan) feature row is stored or looked up."""
     return f"{sample_id}#{plan_index}"
@@ -183,49 +146,25 @@ def plan_representation_id(sample_id: str, plan_index: int) -> str:
 def augment_training_set(binding, samples, plans, labels):
     """Expand samples through plans into L2-normalized training rows.
 
-    ``samples`` is a sequence of (id, image) pairs; the image entry is a
-    :class:`PixelGrid` for the toy extractor, a (path, width, height)
-    tuple for an external extractor, and ignored for file-backed lookups
-    (which use ``id#plan_index`` keys instead).  Returns the augmented
-    matrix plus the row-id -> label mapping; rows are ordered
-    sample-major then by plan index.
+    ``samples`` is a sequence of (id, image) pairs, with images as the
+    binding takes them (see :mod:`featkit.extractors`); file-backed
+    lookups use ``id#plan_index`` keys.  Every row comes from one
+    ``extract_batch`` call.  Returns the augmented matrix plus the
+    row-id -> label mapping; rows are ordered sample-major then by plan
+    index.
     """
     if not plans:
         raise EmptyInput("no transform plans")
-    ids, rows = [], []
+    requests = []
     out_labels = {}
-    requests = None
-    if isinstance(binding, ExternalProcessExtractor):
-        requests = []
     for sid, image in samples:
         if sid not in labels:
             raise ValueError(f"sample {sid!r} has no label")
         for k, plan in enumerate(plans):
             rep_id = plan_representation_id(sid, k)
-            ids.append(rep_id)
+            requests.append((rep_id, image, plan))
             out_labels[rep_id] = labels[sid]
-            if requests is not None:
-                try:
-                    path, w, h = image
-                except (TypeError, ValueError):
-                    raise ExtractorFailure(
-                        "external extraction needs (path, width, height) "
-                        "per sample"
-                    ) from None
-                requests.append((rep_id, path, serialize_plan(plan, w, h)))
-            elif isinstance(binding, FileBackedExtractor):
-                rows.append(binding.extract(rep_id))
-            else:
-                rows.append(
-                    binding.extract(
-                        image,
-                        plan.crop,
-                        rotation_degrees=plan.rotation_degrees,
-                        mirrored=plan.mirrored,
-                    )
-                )
-    if requests is not None:
-        matrix = run_protocol(binding.command, requests)
-        rows = [matrix.row(rep_id) for rep_id in ids]
+    rows = binding.extract_batch(requests)
     normalized = np.stack([l2_normalize(r) for r in rows])
-    return FeatureMatrix(tuple(ids), normalized), out_labels
+    ids = tuple(rep_id for rep_id, _, _ in requests)
+    return FeatureMatrix(ids, normalized), out_labels

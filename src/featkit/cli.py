@@ -349,6 +349,8 @@ def _read_relevant(path):
 
 
 def _make_binding(args, need_dim: int | None = None):
+    """The binding ``args`` select, and how it takes a manifest row as an
+    image: ``to_image(id, path, width, height)``."""
     if args.extractor == "toy":
         grid = args.grid
         if grid is None:
@@ -359,31 +361,31 @@ def _make_binding(args, need_dim: int | None = None):
                 raise ValueError(
                     f"cannot infer --grid from dimension {need_dim}"
                 )
-        return ToyPixelExtractor(grid)
+        return ToyPixelExtractor(grid), lambda rid, path, w, h: load_pgm(path)
     if args.extractor == "external":
         if not args.command:
             raise ValueError("--command is required for external extraction")
-        return ExternalProcessExtractor(args.command)
+        return ExternalProcessExtractor(args.command), _sized_path
     if not args.features:
         raise ValueError("--features is required for file-backed extraction")
-    return FileBackedExtractor(load_features(args.features, args.format))
+    matrix = load_features(args.features, args.format)
+    return FileBackedExtractor(matrix), lambda rid, path, w, h: None
 
 
-def _manifest_images(manifest, binding):
-    refs = []
-    for rid, path, w, h in manifest:
-        if isinstance(binding, ToyPixelExtractor):
-            refs.append((rid, load_pgm(path)))
-        elif isinstance(binding, ExternalProcessExtractor):
-            if w is None or h is None:
-                raise ValueError(
-                    f"manifest entry {rid!r} needs width/height columns "
-                    "for external extraction"
-                )
-            refs.append((rid, (path, w, h)))
-        else:
-            refs.append((rid, None))
-    return refs
+def _sized_path(rid, path, w, h):
+    if w is None or h is None:
+        raise ValueError(
+            f"manifest entry {rid!r} needs width/height columns "
+            "for external extraction"
+        )
+    return path, w, h
+
+
+def _manifest_images(path, to_image):
+    return [
+        (rid, to_image(rid, img, w, h))
+        for rid, img, w, h in _load_manifest(path)
+    ]
 
 
 def _cmd_index(args) -> int:
@@ -392,8 +394,8 @@ def _cmd_index(args) -> int:
         h_q=args.h_q,
         pipeline=PipelineConfig(args.pca_dim, args.power, args.epsilon),
     )
-    binding = _make_binding(args)
-    refs = _manifest_images(_load_manifest(args.images), binding)
+    binding, to_image = _make_binding(args)
+    refs = _manifest_images(args.images, to_image)
     index = retrieval.build_index(refs, config, binding)
     _atomic_write(args.out, lambda p: retrieval.save_index(index, p))
     return 0
@@ -401,24 +403,13 @@ def _cmd_index(args) -> int:
 
 def _cmd_query(args) -> int:
     index = retrieval.load_index(args.index)
-    binding = _make_binding(args, need_dim=index.model.dim_in)
-    queries = _manifest_images(_load_manifest(args.queries), binding)
+    binding, to_image = _make_binding(args, need_dim=index.model.dim_in)
+    queries = _manifest_images(args.queries, to_image)
+    levels = index.config.h_q if args.h_q is None else args.h_q
+    patches = retrieval.extract_patches(binding, queries, levels)
     lines = []
-    for qid, image in queries:
-        if isinstance(binding, FileBackedExtractor):
-            n = retrieval.patch_count(
-                args.h_q if args.h_q else index.config.h_q
-            )
-            raw = np.stack(
-                [binding.extract(f"{qid}#{k}") for k in range(n)]
-            )
-            ranked = retrieval.search(
-                index, raw, binding, h_q=args.h_q, top_k=args.top_k
-            )
-        else:
-            ranked = retrieval.search(
-                index, image, binding, h_q=args.h_q, top_k=args.top_k
-            )
+    for (qid, _), (_, raw) in zip(queries, patches):
+        ranked = retrieval.search(index, raw, h_q=levels, top_k=args.top_k)
         for rank, (ref_id, dist) in enumerate(ranked, 1):
             lines.append(f"{qid}\t{rank}\t{ref_id}\t{fmt_float(dist)}")
     _write_text(args.out, "\n".join(lines) + "\n")

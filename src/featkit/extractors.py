@@ -1,16 +1,22 @@
 """Pluggable feature-extraction boundary.
 
-Three bindings share one ``extract`` signature:
+Every binding takes a batch of requests through one entry point,
+``extract_batch(requests) -> ndarray``: each request is a
+``(rep_id, image, TransformPlan)`` tuple and yields one row, in request
+order.  ``extract`` is a one-request call to it, and ``image_size`` gives
+the geometry callers plan against.
 
 * :class:`ToyPixelExtractor` pools a region of a :class:`PixelGrid` into a
   g x g grid of mean cell intensities (dimension g**2).
 * :class:`FileBackedExtractor` is a pure lookup into a loaded
-  :class:`FeatureMatrix`, keyed by representation id.
-* :class:`ExternalProcessExtractor` talks the line protocol to a subprocess:
-  request ``id<TAB>image_path<TAB>x,y,w,h``, reply ``id<TAB>v1,v2,...``
-  (comma-separated decimals), one reply per request in any order; the
-  process must exit 0 once stdin is closed.  Rotation/mirror geometry is
-  appended to the region field as ``;rot=<deg>;mir=<0|1>``.
+  :class:`FeatureMatrix`, keyed by ``rep_id``; images and plans are
+  ignored.
+* :class:`ExternalProcessExtractor` serves a whole batch with one session
+  of the line protocol: request ``id<TAB>image_path<TAB>x,y,w,h``, reply
+  ``id<TAB>v1,v2,...`` (comma-separated decimals), one reply per request
+  in any order; the process must exit 0 once stdin is closed.
+  Rotation/mirror geometry is appended to the region field as
+  ``;rot=<deg>;mir=<0|1>``.  Its images are ``(path, width, height)``.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
+import tempfile
+import threading
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +39,34 @@ from .features import (
 )
 
 
+@dataclass(frozen=True)
+class TransformPlan:
+    """Crop (None means full image), rotation in degrees CCW, mirror flag.
+
+    Geometry only: rotate the image in place, crop in that frame, then
+    mirror the cropped patch.  Pixel resampling is the extractor's job.
+    """
+
+    crop: Rect | None = None
+    rotation_degrees: float = 0.0
+    mirrored: bool = False
+
+    def __post_init__(self):
+        if not -180.0 < self.rotation_degrees <= 180.0:
+            raise ValueError("rotation must lie in (-180, 180] degrees")
+
+    @property
+    def is_identity(self) -> bool:
+        return (
+            self.crop is None
+            and self.rotation_degrees == 0.0
+            and not self.mirrored
+        )
+
+    def mirror_toggled(self) -> "TransformPlan":
+        return replace(self, mirrored=not self.mirrored)
+
+
 def format_region(rect: Rect, rotation_degrees: float = 0.0,
                   mirrored: bool = False) -> str:
     """Wire encoding of a region, with geometry suffix when non-trivial."""
@@ -37,6 +74,12 @@ def format_region(rect: Rect, rotation_degrees: float = 0.0,
     if rotation_degrees != 0.0 or mirrored:
         base += f";rot={rotation_degrees!r};mir={1 if mirrored else 0}"
     return base
+
+
+def serialize_plan(plan: TransformPlan, width: int, height: int) -> str:
+    """Protocol region field for a plan, e.g. ``0,0,64,64;rot=20.0;mir=1``."""
+    rect = plan.crop if plan.crop is not None else Rect(0, 0, width, height)
+    return format_region(rect, plan.rotation_degrees, plan.mirrored)
 
 
 def rotate_nearest(image: np.ndarray, degrees: float) -> np.ndarray:
@@ -69,6 +112,13 @@ def _cell_bounds(length: int, cells: int, j: int) -> tuple:
     return start, stop
 
 
+def _batch(requests) -> list:
+    reqs = list(requests)
+    if not reqs:
+        raise ValueError("no requests in extraction batch")
+    return reqs
+
+
 class ToyPixelExtractor:
     """Deterministic g x g mean-intensity pooling over pixel regions."""
 
@@ -81,22 +131,35 @@ class ToyPixelExtractor:
     def dim(self) -> int:
         return self.grid_cells * self.grid_cells
 
-    def extract(self, image: PixelGrid, region: Rect | None = None, *,
-                square_mode: bool = False, rotation_degrees: float = 0.0,
-                mirrored: bool = False) -> np.ndarray:
+    def image_size(self, image) -> tuple:
         if not isinstance(image, PixelGrid):
             raise ExtractorFailure(
                 "toy extractor requires a PixelGrid image"
             )
-        rect = region if region is not None else image.full_rect()
-        rect.require_within(image.width, image.height)
+        return image.width, image.height
+
+    def extract(self, image: PixelGrid, region: Rect | None = None, *,
+                square_mode: bool = False, rotation_degrees: float = 0.0,
+                mirrored: bool = False) -> np.ndarray:
         if square_mode:
-            rect = smallest_enclosing_square(rect, image.width, image.height)
-        pixels = image.intensities
-        if rotation_degrees != 0.0:
-            pixels = rotate_nearest(pixels, rotation_degrees)
+            w, h = self.image_size(image)
+            region = smallest_enclosing_square(
+                region if region is not None else image.full_rect(), w, h
+            )
+        plan = TransformPlan(region, rotation_degrees, mirrored)
+        return self.extract_batch([("", image, plan)])[0]
+
+    def extract_batch(self, requests) -> np.ndarray:
+        reqs = _batch(requests)
+        return np.stack([self._pool(image, plan) for _, image, plan in reqs])
+
+    def _pool(self, image, plan: TransformPlan) -> np.ndarray:
+        w, h = self.image_size(image)
+        rect = plan.crop if plan.crop is not None else image.full_rect()
+        rect.require_within(w, h)
+        pixels = rotate_nearest(image.intensities, plan.rotation_degrees)
         patch = pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
-        if mirrored:
+        if plan.mirrored:
             patch = patch[:, ::-1]
         g = self.grid_cells
         out = np.empty(g * g, dtype=np.float64)
@@ -118,6 +181,10 @@ class FileBackedExtractor:
     def dim(self) -> int:
         return self.matrix.dim
 
+    def image_size(self, image) -> None:
+        """None: vectors are keyed by id, so there is no geometry."""
+        return None
+
     def extract(self, image, region: Rect | None = None, *,
                 square_mode: bool = False, rotation_degrees: float = 0.0,
                 mirrored: bool = False) -> np.ndarray:
@@ -125,23 +192,38 @@ class FileBackedExtractor:
             raise ExtractorFailure(
                 "file-backed extractor requires a representation id"
             )
-        try:
-            return self.matrix.row(image)
-        except KeyError:
-            raise UnknownId(f"no stored vector for id {image!r}") from None
+        return self.extract_batch([(image, None, TransformPlan())])[0]
+
+    def extract_batch(self, requests) -> np.ndarray:
+        rows = []
+        for rep_id, _, _ in _batch(requests):
+            try:
+                rows.append(self.matrix.index_of(rep_id))
+            except KeyError:
+                raise UnknownId(
+                    f"no stored vector for id {rep_id!r}"
+                ) from None
+        return self.matrix.values[rows]
 
 
 class ExternalProcessExtractor:
-    """One-shot line-protocol client around an external command.
+    """Line-protocol client around an external command.
 
-    ``square_mode`` is resolved on this side, so it needs the image
-    dimensions (``width``/``height`` arguments).
+    Images are ``(path, width, height)`` tuples: the dimensions resolve a
+    full-image plan (``crop`` None) on this side.
     """
 
     def __init__(self, command: str):
         if not command.strip():
             raise ValueError("external extractor command is empty")
         self.command = command
+
+    def image_size(self, image) -> tuple:
+        if not (isinstance(image, tuple) and len(image) == 3):
+            raise ExtractorFailure(
+                "external extraction needs (path, width, height) images"
+            )
+        return image[1:]
 
     def extract(self, image, region: Rect | None = None, *,
                 square_mode: bool = False, rotation_degrees: float = 0.0,
@@ -151,63 +233,47 @@ class ExternalProcessExtractor:
             raise ExtractorFailure(
                 "external extractor requires an image path"
             )
-        if region is None:
-            if width is None or height is None:
-                raise ExtractorFailure(
-                    "external extraction of the full image needs explicit "
-                    "dimensions"
-                )
-            region = Rect(0, 0, width, height)
+        sized = width is not None and height is not None
+        if (region is None or square_mode) and not sized:
+            raise ExtractorFailure(
+                "external extraction of the full image or in square_mode "
+                "needs explicit dimensions"
+            )
         if square_mode:
-            if width is None or height is None:
-                raise ExtractorFailure(
-                    "square_mode needs image dimensions for an "
-                    "external extractor"
-                )
-            region = smallest_enclosing_square(region, width, height)
-        field = format_region(region, rotation_degrees, mirrored)
-        matrix = run_protocol(self.command, [("r0", image, field)])
-        return matrix.values[0]
+            region = smallest_enclosing_square(
+                region or Rect(0, 0, width, height), width, height
+            )
+        plan = TransformPlan(region, rotation_degrees, mirrored)
+        return self.extract_batch([("r0", (image, width, height), plan)])[0]
+
+    def extract_batch(self, requests) -> np.ndarray:
+        wire = [
+            (rep_id, image[0], serialize_plan(plan, *self.image_size(image)))
+            for rep_id, image, plan in _batch(requests)
+        ]
+        return run_protocol(self.command, wire).values
 
 
-def run_protocol(command: str, requests) -> FeatureMatrix:
-    """Run one protocol session; ``requests`` are (id, path, region) tuples.
+def _send(stdin, payload: bytes) -> None:
+    """Writer thread: feed the request lines, then close stdin."""
+    try:
+        with stdin:
+            stdin.write(payload)
+    except BrokenPipeError:
+        pass  # the extractor stopped reading; its replies tell why
 
-    ``region`` may be a :class:`Rect` or a preformatted region field.
-    Replies are matched by id and returned in request order.
+
+def _read_replies(stdout, slot: dict):
+    """Parse reply lines as they arrive into rows ordered by ``slot``.
+
+    Raises on the first malformed, unrequested, duplicate, wrong-width
+    or non-finite reply.  Returns the rows (None if no reply came) and
+    the mask of requests answered.
     """
-    items = []
-    for rid, path, region in requests:
-        field = format_region(region) if isinstance(region, Rect) else region
-        items.append((rid, f"{rid}\t{path}\t{field}\n"))
-    if not items:
-        raise ValueError("no requests for protocol session")
-
-    argv = shlex.split(command)
-    try:
-        proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-    except OSError as exc:
-        raise ExtractorFailure(f"cannot start extractor: {exc}") from exc
-    try:
-        out, err = proc.communicate("".join(line for _, line in items))
-    except Exception as exc:
-        proc.kill()
-        proc.wait()
-        raise ExtractorFailure(f"extractor session failed: {exc}") from exc
-    if proc.returncode != 0:
-        detail = err.strip().splitlines()[-1] if err.strip() else ""
-        raise ExtractorFailure(
-            f"extractor exited with status {proc.returncode}: {detail}"
-        )
-
-    replies: dict = {}
-    for line in out.splitlines():
+    rows = None
+    got = np.zeros(len(slot), dtype=bool)
+    for raw in stdout:
+        line = raw.decode("utf-8", "replace").rstrip("\r\n")
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -215,49 +281,82 @@ def run_protocol(command: str, requests) -> FeatureMatrix:
             raise ExtractorFailure(f"malformed reply line {line!r}")
         rid, payload = parts
         try:
-            vec = np.asarray(
-                [float(p) for p in payload.split(",")], dtype=np.float64
-            )
+            i = slot[rid]
+        except KeyError:
+            raise ProtocolViolation(
+                f"reply for unrequested id {rid!r}"
+            ) from None
+        if got[i]:
+            raise ProtocolViolation(f"duplicate reply for id {rid!r}")
+        try:
+            vec = [float(p) for p in payload.split(",")]
         except ValueError:
             raise ExtractorFailure(
                 f"malformed reply vector for id {rid!r}"
             ) from None
-        if rid in replies:
-            raise ProtocolViolation(f"duplicate reply for id {rid!r}")
-        replies[rid] = vec
-
-    wanted = [rid for rid, _ in items]
-    unknown = set(replies) - set(wanted)
-    if unknown:
-        raise ProtocolViolation(
-            f"reply for unrequested id {sorted(unknown)[0]!r}"
-        )
-    missing = [rid for rid in wanted if rid not in replies]
-    if missing:
-        raise ProtocolViolation(f"missing reply for id {missing[0]!r}")
-    dims = {replies[rid].size for rid in wanted}
-    if len(dims) != 1:
-        raise ProtocolViolation(f"mixed reply dimensions {sorted(dims)}")
-    rows = np.stack([replies[rid] for rid in wanted])
-    if not np.all(np.isfinite(rows)):
-        raise ProtocolViolation("non-finite value in extractor reply")
-    return FeatureMatrix(tuple(wanted), rows)
+        if rows is None:
+            rows = np.empty((len(slot), len(vec)), dtype=np.float64)
+        elif len(vec) != rows.shape[1]:
+            raise ProtocolViolation(
+                f"reply dimension {len(vec)} for id {rid!r} differs from "
+                f"{rows.shape[1]}"
+            )
+        rows[i] = vec
+        if not np.all(np.isfinite(rows[i])):
+            raise ProtocolViolation("non-finite value in extractor reply")
+        got[i] = True
+    return rows, got
 
 
-def external_protocol_roundtrip(command: str, requests) -> FeatureMatrix:
-    """Batch extraction through the external line protocol."""
-    return run_protocol(command, requests)
+def run_protocol(command: str, requests) -> FeatureMatrix:
+    """Run one protocol session; ``requests`` are (id, path, region) tuples.
 
+    ``region`` may be a :class:`Rect` or a preformatted region field.
+    Request lines (UTF-8) are written by a separate thread while replies
+    are parsed as they arrive, so no reply text is buffered.
+    Replies are matched by id and returned in request order.  The
+    extractor is killed and reaped on any failure, interrupts included.
+    """
+    ids, lines = [], []
+    for rid, path, region in requests:
+        field = format_region(region) if isinstance(region, Rect) else region
+        ids.append(rid)
+        lines.append(f"{rid}\t{path}\t{field}\n")
+    payload = "".join(lines).encode("utf-8")
+    if not ids:
+        raise ValueError("no requests for protocol session")
+    slot = {rid: i for i, rid in enumerate(ids)}
+    if len(slot) != len(ids):
+        raise ValueError("duplicate request id in protocol session")
 
-def extract(binding, image, region: Rect | None = None, *,
-            square_mode: bool = False, rotation_degrees: float = 0.0,
-            mirrored: bool = False, **kwargs) -> np.ndarray:
-    """Dispatch a single extraction through any binding."""
-    return binding.extract(
-        image,
-        region,
-        square_mode=square_mode,
-        rotation_degrees=rotation_degrees,
-        mirrored=mirrored,
-        **kwargs,
-    )
+    with tempfile.TemporaryFile() as err:
+        try:
+            proc = subprocess.Popen(
+                shlex.split(command),
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=err,
+            )
+        except OSError as exc:
+            raise ExtractorFailure(f"cannot start extractor: {exc}") from exc
+        writer = threading.Thread(target=_send, args=(proc.stdin, payload))
+        writer.start()
+        try:
+            rows, got = _read_replies(proc.stdout, slot)
+            status = proc.wait()
+        finally:
+            proc.kill()  # no-op once the process has been reaped
+            proc.wait()
+            proc.stdout.close()
+            writer.join()
+        if status != 0:
+            err.seek(0)
+            tail = err.read().decode("utf-8", "replace").strip()
+            detail = tail.splitlines()[-1] if tail else ""
+            raise ExtractorFailure(
+                f"extractor exited with status {status}: {detail}"
+            )
+    if not got.all():
+        missing = ids[int(np.argmin(got))]
+        raise ProtocolViolation(f"missing reply for id {missing!r}")
+    return FeatureMatrix(tuple(ids), rows)

@@ -126,12 +126,6 @@ def recall_at_k(ranking, relevant, k: int, *, query_id=None,
     return len(top & rel) / len(rel)
 
 
-def write_report(path, class_rows=None, summary_rows=None) -> None:
-    """TSV report: per-class (or per-query) rows then summary rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_report(class_rows, summary_rows))
-
-
 def render_report(class_rows=None, summary_rows=None) -> str:
     lines = []
     for name, value in class_rows or []:

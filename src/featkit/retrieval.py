@@ -22,14 +22,9 @@ from .errors import (
     EmptyInput,
     MalformedFile,
 )
-from .extractors import (
-    ExternalProcessExtractor,
-    FileBackedExtractor,
-    run_protocol,
-)
+from .extractors import TransformPlan
 from .features import (
     FeatureMatrix,
-    PixelGrid,
     Rect,
     fmt_float,
     iround,
@@ -134,57 +129,55 @@ def level_rects(width: int, height: int, levels: int) -> list:
     return out
 
 
-def _raw_patches(binding, ref_id, image, levels: int):
-    """Rects and raw (pre-pipeline) patch vectors for one image."""
-    if isinstance(binding, FileBackedExtractor):
-        n = patch_count(levels)
-        rows = [binding.extract(f"{ref_id}#{k}") for k in range(n)]
-        return (), np.stack(rows)
-    if isinstance(binding, ExternalProcessExtractor):
-        try:
-            path, w, h = image
-        except (TypeError, ValueError):
-            raise DimMismatch(
-                "external extraction needs (path, width, height) entries"
-            ) from None
-        rects = level_rects(w, h, levels)
-        wire = [
-            (f"{ref_id}#{k}", path,
-             smallest_enclosing_square(r, w, h))
-            for k, r in enumerate(rects)
-        ]
-        matrix = run_protocol(binding.command, wire)
-        return tuple(rects), matrix.values.copy()
-    if not isinstance(image, PixelGrid):
-        raise DimMismatch("toy extraction needs PixelGrid images")
-    rects = level_rects(image.width, image.height, levels)
-    rows = [
-        binding.extract(image, r, square_mode=True) for r in rects
+def _patch_requests(binding, image_id, image, levels: int):
+    """Rects and ``image_id#k`` extraction requests for one image's
+    patches; a binding with no image geometry gets no rects."""
+    if levels < 1:
+        raise ValueError("patch levels must be at least 1")
+    size = binding.image_size(image)
+    if size is None:
+        plans = [TransformPlan()] * patch_count(levels)
+        rects = ()
+    else:
+        rects = tuple(level_rects(*size, levels))
+        plans = [TransformPlan(crop=smallest_enclosing_square(r, *size))
+                 for r in rects]
+    return rects, [(f"{image_id}#{k}", image, plan)
+                   for k, plan in enumerate(plans)]
+
+
+def extract_patches(binding, images, levels: int) -> list:
+    """(rects, raw patch block) for each (id, image) pair, all extracted
+    by one ``binding.extract_batch`` call."""
+    per_image = [
+        _patch_requests(binding, image_id, image, levels)
+        for image_id, image in images
     ]
-    return tuple(rects), np.stack(rows)
+    raw = binding.extract_batch(
+        [req for _, requests in per_image for req in requests]
+    )
+    blocks = np.split(raw, len(per_image))
+    return [(rects, block) for (rects, _), block in zip(per_image, blocks)]
 
 
 def build_index(references, config: SpatialSearchConfig, binding
                 ) -> RetrievalIndex:
     """Extract all reference patches, fit the chain on them, store both.
 
-    ``references`` is a sequence of (id, image) pairs (see
-    :func:`_raw_patches` for what "image" means per binding).
+    ``references`` is a sequence of (id, image) pairs, with images as the
+    binding takes them (see :mod:`featkit.extractors`).
     """
     refs = list(references)
     if len(refs) < 2:
         raise EmptyInput("index construction needs at least two references")
-    per_ref = []
-    for ref_id, image in refs:
-        rects, raw = _raw_patches(binding, ref_id, image, config.h_r)
-        per_ref.append((ref_id, rects, raw))
-    pooled = np.vstack([raw for _, _, raw in per_ref])
+    patches = extract_patches(binding, refs, config.h_r)
+    pooled = np.vstack([raw for _, raw in patches])
     model = retrieval_pipeline_fit(pooled, config.pipeline)
     processed = retrieval_pipeline_apply(model, config.pipeline, pooled)
-    blocks = np.split(processed.astype(np.float32), len(per_ref))
+    blocks = np.split(processed.astype(np.float32), len(refs))
     entries = [
         ReferenceEntry(ref_id, rects, block)
-        for (ref_id, rects, _), block in zip(per_ref, blocks)
+        for (ref_id, _), (rects, _), block in zip(refs, patches, blocks)
     ]
     return RetrievalIndex(tuple(entries), model, config)
 
@@ -223,7 +216,7 @@ def query_patch_vectors(index: RetrievalIndex, query, binding,
                 f"needs {patch_count(levels)}"
             )
     else:
-        _, raw = _raw_patches(binding, "q", query, levels)
+        [(_, raw)] = extract_patches(binding, [("q", query)], levels)
     if not np.all(np.isfinite(raw)):
         raise ValueError("query patch features must be finite")
     processed = retrieval_pipeline_apply(

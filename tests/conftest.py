@@ -23,6 +23,23 @@ def stub_command(mode: str = "fixed") -> str:
 
 
 @pytest.fixture
+def popen_starts(monkeypatch):
+    """Every extractor process started while the test runs, in order."""
+    import featkit.extractors
+
+    started = []
+    real = featkit.extractors.subprocess.Popen
+
+    def counting(*args, **kwargs):
+        proc = real(*args, **kwargs)
+        started.append(proc)
+        return proc
+
+    monkeypatch.setattr(featkit.extractors.subprocess, "Popen", counting)
+    return started
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 

@@ -9,9 +9,12 @@ answers ``id<TAB>v1,v2,...`` lines.  The first argument picks a mode:
     omit-first  swallow the first request (protocol violation)
     mixed-dims  alternate 4- and 5-dimensional replies
     crash       exit 3 without replying
+    malformed-then-hang
+                print a malformed line, then sleep 60 s without reading
 """
 
 import sys
+import time
 import zlib
 
 
@@ -19,6 +22,10 @@ def main() -> int:
     mode = sys.argv[1] if len(sys.argv) > 1 else "fixed"
     if mode == "crash":
         return 3
+    if mode == "malformed-then-hang":
+        print("not a reply line", flush=True)
+        time.sleep(60)
+        return 0
     first = True
     out = []
     for line in sys.stdin:

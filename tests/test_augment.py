@@ -243,6 +243,15 @@ class TestAugmentTrainingSet:
                 {"s0": "a"},
             )
 
+    def test_external_one_session(self, popen_starts):
+        binding = ExternalProcessExtractor(stub_command("derive"))
+        samples = [(f"s{i}", (f"img{i}.x", 40, 32)) for i in range(3)]
+        labels = {"s0": "a", "s1": "b", "s2": "a"}
+        plans = augmentation_plans(40, 32)
+        matrix, _ = augment_training_set(binding, samples, plans, labels)
+        assert len(popen_starts) == 1
+        assert matrix.n == 48 and matrix.ids[17] == "s1#1"
+
     def test_external_round_trip(self, tmp_path):
         binding = ExternalProcessExtractor(stub_command("derive"))
         samples = [("s0", ("fake.img", 40, 40))]

@@ -406,6 +406,74 @@ class TestIndexQuery:
             assert q == ref and float(dist) == 0.0
 
 
+class TestExtractorSessions:
+    """One external extractor session per index or query command."""
+
+    @pytest.fixture
+    def external_corpus(self, tmp_path, popen_starts):
+        refs = tmp_path / "refs.tsv"
+        refs.write_text(
+            "r0\timg0.x\t40\t40\nr1\timg1.x\t40\t40\n"
+            "r2\timg2.x\t36\t44\nr3\timg3.x\t40\t40\n"
+        )
+        queries = tmp_path / "queries.tsv"
+        queries.write_text(
+            "q0\timg2.x\t36\t44\nq1\tother.x\t30\t30\n"
+            "q2\timg0.x\t40\t40\n"
+        )
+        index_path = tmp_path / "c.idx"
+        assert run(
+            "index", "--images", refs, "--extractor", "external",
+            "--command", stub_command("derive"),
+            "--h-r", "2", "--h-q", "2", "--out", index_path,
+        ) == 0
+        return index_path, queries
+
+    def test_index_starts_one_session(self, external_corpus, popen_starts):
+        assert len(popen_starts) == 1
+
+    def test_query_starts_one_session(self, external_corpus, popen_starts,
+                                      tmp_path):
+        index_path, queries = external_corpus
+        del popen_starts[:]
+        out = tmp_path / "rank.tsv"
+        assert run(
+            "query", "--index", index_path, "--queries", queries,
+            "--extractor", "external", "--command", stub_command("derive"),
+            "--top-k", "3", "--out", out,
+        ) == 0
+        assert len(popen_starts) == 1
+
+    def test_query_ranking_equals_per_query_sessions(self, external_corpus,
+                                                     tmp_path):
+        from featkit.extractors import format_region, run_protocol
+        from featkit.features import smallest_enclosing_square
+        from featkit.retrieval import level_rects, load_index, search
+
+        index_path, queries = external_corpus
+        out = tmp_path / "rank.tsv"
+        assert run(
+            "query", "--index", index_path, "--queries", queries,
+            "--extractor", "external", "--command", stub_command("derive"),
+            "--top-k", "3", "--out", out,
+        ) == 0
+        index = load_index(index_path)
+        expected = []
+        for line in queries.read_text().splitlines():
+            qid, path, w, h = line.split("\t")
+            w, h = int(w), int(h)
+            wire = [
+                (f"{qid}#{k}", path,
+                 format_region(smallest_enclosing_square(r, w, h)))
+                for k, r in enumerate(level_rects(w, h, 2))
+            ]
+            raw = run_protocol(stub_command("derive"), wire).values
+            for rank, (ref, dist) in enumerate(search(index, raw, top_k=3),
+                                               1):
+                expected.append(f"{qid}\t{rank}\t{ref}\t{dist!r}")
+        assert out.read_text().splitlines() == expected
+
+
 class TestPreprocessCommands:
     def test_fit_then_apply(self, rng, tmp_path):
         matrix = FeatureMatrix(

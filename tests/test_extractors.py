@@ -1,6 +1,11 @@
+import shlex
+import sys
+import time
+
 import numpy as np
 import pytest
 
+import featkit.extractors
 from conftest import stub_command
 from featkit.errors import (
     ExtractorFailure,
@@ -12,12 +17,17 @@ from featkit.extractors import (
     ExternalProcessExtractor,
     FileBackedExtractor,
     ToyPixelExtractor,
-    external_protocol_roundtrip,
-    extract,
+    TransformPlan,
     format_region,
     rotate_nearest,
+    run_protocol,
 )
-from featkit.features import PixelGrid, Rect
+from featkit.features import (
+    FeatureMatrix,
+    PixelGrid,
+    Rect,
+    smallest_enclosing_square,
+)
 
 
 class TestToyPixel:
@@ -105,19 +115,19 @@ class TestFileBacked:
 class TestExternalProtocol:
     def test_fixed_stub_gives_identical_rows(self, tmp_path):
         reqs = [(f"r{i}", "img.pgm", Rect(0, 0, 4, 4)) for i in range(5)]
-        m = external_protocol_roundtrip(stub_command("fixed"), reqs)
+        m = run_protocol(stub_command("fixed"), reqs)
         assert m.n == 5 and m.dim == 4
         assert np.array_equal(m.values, np.tile([1, 2, 3, 4], (5, 1)))
 
     def test_reply_order_is_request_order(self):
         reqs = [(f"r{i}", "x", Rect(0, 0, i + 1, 1)) for i in range(4)]
-        m = external_protocol_roundtrip(stub_command("derive"), reqs)
+        m = run_protocol(stub_command("derive"), reqs)
         assert m.ids == ("r0", "r1", "r2", "r3")
 
     def test_out_of_order_replies_accepted(self):
         reqs = [(f"r{i}", "x", Rect(0, 0, i + 1, 1)) for i in range(4)]
-        ordered = external_protocol_roundtrip(stub_command("derive"), reqs)
-        reversed_ = external_protocol_roundtrip(
+        ordered = run_protocol(stub_command("derive"), reqs)
+        reversed_ = run_protocol(
             stub_command("reverse"), reqs
         )
         assert reversed_.ids == ordered.ids
@@ -126,16 +136,16 @@ class TestExternalProtocol:
     def test_missing_reply_is_protocol_violation(self):
         reqs = [("a", "x", Rect(0, 0, 1, 1)), ("b", "x", Rect(0, 0, 1, 1))]
         with pytest.raises(ProtocolViolation, match="missing"):
-            external_protocol_roundtrip(stub_command("omit-first"), reqs)
+            run_protocol(stub_command("omit-first"), reqs)
 
     def test_mixed_dims_is_protocol_violation(self):
         reqs = [("a", "x", Rect(0, 0, 1, 1)), ("b", "x", Rect(0, 0, 1, 1))]
         with pytest.raises(ProtocolViolation, match="dimension"):
-            external_protocol_roundtrip(stub_command("mixed-dims"), reqs)
+            run_protocol(stub_command("mixed-dims"), reqs)
 
     def test_nonzero_exit_is_extractor_failure(self):
         with pytest.raises(ExtractorFailure, match="status 3"):
-            external_protocol_roundtrip(
+            run_protocol(
                 stub_command("crash"), [("a", "x", Rect(0, 0, 1, 1))]
             )
 
@@ -158,4 +168,140 @@ class TestExternalProtocol:
 
 def test_module_level_extract_dispatch(random_matrix):
     binding = FileBackedExtractor(random_matrix())
-    assert np.array_equal(extract(binding, "v0"), binding.extract("v0"))
+    assert np.array_equal(
+        binding.extract("v0"),
+        binding.extract_batch([("v0", None, TransformPlan())])[0],
+    )
+
+
+def _print_then_hang(lines) -> str:
+    """Command that prints ``lines``, flushes, then sleeps 60 s."""
+    script = (
+        f"import sys, time; sys.stdout.write({lines!r}); "
+        "sys.stdout.flush(); time.sleep(60)"
+    )
+    return shlex.join([sys.executable, "-c", script])
+
+
+class TestStreamingSession:
+    two = [("a", "x", Rect(0, 0, 1, 1)), ("b", "x", Rect(0, 0, 1, 1))]
+
+    def test_malformed_line_fails_fast_and_reaps(self, popen_starts):
+        t0 = time.monotonic()
+        with pytest.raises(ExtractorFailure, match="malformed"):
+            run_protocol(stub_command("malformed-then-hang"), self.two)
+        assert time.monotonic() - t0 < 10.0
+        assert len(popen_starts) == 1
+        assert popen_starts[0].poll() is not None
+
+    @pytest.mark.parametrize("lines, match", [
+        ("zz\t1.0\n", "unrequested"),
+        ("a\t1.0\na\t1.0\n", "duplicate"),
+        ("a\t1.0\nb\t1.0,2.0\n", "dimension"),
+        ("a\tnan\n", "non-finite"),
+    ])
+    def test_bad_reply_fails_before_eof(self, popen_starts, lines, match):
+        t0 = time.monotonic()
+        with pytest.raises(ProtocolViolation, match=match):
+            run_protocol(_print_then_hang(lines), self.two)
+        assert time.monotonic() - t0 < 10.0
+        assert popen_starts[0].poll() is not None
+
+    def test_interrupt_kills_extractor(self, popen_starts, monkeypatch):
+        def interrupted(stdout, slot):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(featkit.extractors, "_read_replies", interrupted)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_protocol(stub_command("malformed-then-hang"), self.two)
+        assert time.monotonic() - t0 < 10.0
+        assert popen_starts[0].poll() is not None
+
+    def test_large_session_streams(self):
+        # far more request and reply bytes than a pipe buffer holds
+        reqs = [(f"r{i}", "img", Rect(0, 0, i % 50 + 1, 1))
+                for i in range(20000)]
+        m = run_protocol(stub_command("derive"), reqs)
+        assert m.n == 20000 and m.ids[-1] == "r19999"
+
+    def test_duplicate_request_ids_rejected(self):
+        with pytest.raises(ValueError, match="duplicate request id"):
+            run_protocol(stub_command("fixed"), [self.two[0], self.two[0]])
+
+
+def _toy_requests(grid):
+    square = smallest_enclosing_square(Rect(2, 5, 4, 11), 24, 20)
+    return [
+        ("a", grid, TransformPlan()),
+        ("b", grid, TransformPlan(rotation_degrees=20.0)),
+        ("c", grid, TransformPlan(mirrored=True)),
+        ("d", grid, TransformPlan(Rect(1, 3, 9, 6), -20.0, True)),
+        ("e", grid, TransformPlan(crop=square)),
+    ]
+
+
+class TestExtractBatch:
+    def test_toy_batch_equals_single(self, rng):
+        grid = PixelGrid(rng.random((20, 24)))
+        toy = ToyPixelExtractor(3)
+        rows = toy.extract_batch(_toy_requests(grid))
+        single = [
+            toy.extract(grid),
+            toy.extract(grid, rotation_degrees=20.0),
+            toy.extract(grid, mirrored=True),
+            toy.extract(grid, Rect(1, 3, 9, 6), rotation_degrees=-20.0,
+                        mirrored=True),
+            toy.extract(grid, Rect(2, 5, 4, 11), square_mode=True),
+        ]
+        assert rows.shape == (5, 9)
+        assert np.array_equal(rows, np.stack(single))
+
+    def test_file_backed_batch_equals_single(self, random_matrix):
+        binding = FileBackedExtractor(random_matrix())
+        ids = ["v3", "v0", "v3", "v4"]
+        rows = binding.extract_batch([(i, None, TransformPlan()) for i in ids])
+        assert np.array_equal(
+            rows, np.stack([binding.extract(i) for i in ids])
+        )
+        rows[0, 0] = 123.0  # the batch is a copy too
+        assert binding.extract("v3")[0] != 123.0
+
+    def test_file_backed_names_missing_id(self, random_matrix):
+        binding = FileBackedExtractor(random_matrix())
+        reqs = [(i, None, TransformPlan()) for i in ("v0", "gone", "v1")]
+        with pytest.raises(UnknownId, match="'gone'"):
+            binding.extract_batch(reqs)
+
+    def test_external_batch_equals_single(self, popen_starts):
+        binding = ExternalProcessExtractor(stub_command("derive"))
+        plans = [
+            TransformPlan(),
+            TransformPlan(Rect(0, 0, 8, 8), 20.0),
+            TransformPlan(Rect(4, 2, 6, 9), mirrored=True),
+        ]
+        rows = binding.extract_batch(
+            [(f"r{k}", ("img", 16, 12), p) for k, p in enumerate(plans)]
+        )
+        assert len(popen_starts) == 1
+        single = [
+            binding.extract("img", p.crop, width=16, height=12,
+                            rotation_degrees=p.rotation_degrees,
+                            mirrored=p.mirrored)
+            for p in plans
+        ]
+        assert np.array_equal(rows, np.stack(single))
+
+    def test_external_needs_sized_images(self):
+        binding = ExternalProcessExtractor(stub_command("derive"))
+        with pytest.raises(ExtractorFailure, match="width, height"):
+            binding.extract_batch([("r0", "img", TransformPlan())])
+
+    @pytest.mark.parametrize("binding", [
+        ToyPixelExtractor(2),
+        FileBackedExtractor(FeatureMatrix(("v0",), np.ones((1, 3)))),
+        ExternalProcessExtractor(stub_command("fixed")),
+    ])
+    def test_empty_batch_rejected(self, binding):
+        with pytest.raises(ValueError):
+            binding.extract_batch([])
