@@ -155,6 +155,10 @@ def _cmd_train(args) -> int:
             f"{fmt_float(st.gap)}\t{int(st.converged)}"
         )
     for key_s, m in keyed:
+        report_lines.append(
+            f"free_set_steps\t{key_s}\t{m.stats.free_set_steps}"
+        )
+    for key_s, m in keyed:
         st = m.stats
         if not st.converged:
             report_lines.append(f"unconverged\t{key_s}\t{fmt_float(st.gap)}")

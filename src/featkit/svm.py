@@ -10,8 +10,12 @@ w = sum_i alpha_i y_i x_i.  Coordinates are visited in a freshly
 shuffled order every epoch, drawn from a seeded generator, so training
 is deterministic for a fixed seed.  Coordinates pinned at a bound are
 shrunk out of the visiting order, while the duality-gap stop test
-always runs over every sample.  An optional bias is realised as an
-appended constant-1 feature, which keeps the objective in the exact
+always runs over every sample.  Once the set of free duals (strictly
+between 0 and C) has held for two epochs, it is solved exactly in one
+least-squares step, the finish of an active-set method (Scheinberg,
+JMLR 2006); the step is kept only when it raises the dual, so the stop
+test alone still certifies the result.  An optional bias is realised as
+an appended constant-1 feature, which keeps the objective in the exact
 form above.
 """
 
@@ -66,13 +70,14 @@ class SolverConfig:
 @dataclass(frozen=True)
 class SolverStats:
     """How one binary solve ended: epochs run, coordinate visits (one
-    dot product each), the final duality gap, and whether the stop test
-    passed before ``max_epochs`` ran out."""
+    dot product each), the final duality gap, whether the stop test
+    passed before ``max_epochs`` ran out, and the free-set steps kept."""
 
     epochs: int
     visits: int
     gap: float
     converged: bool
+    free_set_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,13 @@ class BinaryModel:
         object.__setattr__(
             self, "w", np.asarray(self.w, dtype=np.float64)
         )
+        if not (np.all(np.isfinite(self.w))
+                and math.isfinite(self.C_used) and self.C_used > 0
+                and math.isfinite(self.objective_value)):
+            raise ValueError(
+                "weights and objective must be finite, C positive and "
+                "finite"
+            )
 
     @property
     def input_dim(self) -> int:
@@ -158,6 +170,29 @@ def _augment_bias(xa: np.ndarray) -> np.ndarray:
     return np.hstack([xa, np.ones((xa.shape[0], 1))])
 
 
+def _primal_dual(xy, w, alpha, c):
+    """Hinge objective of ``w`` and the dual ``sum(alpha) - 0.5|w|^2``."""
+    ww = float(w @ w)
+    primal = 0.5 * ww + c * float(np.maximum(0.0, 1.0 - xy @ w).sum())
+    return primal, math.fsum(alpha) - 0.5 * ww
+
+
+def _free_set_step(xy, alpha, free, c):
+    """Maximize the dual over the duals ``free``, holding the others.
+
+    With ``w_U = C * sum of xy_i over duals at C``, the free duals'
+    optimum solves ``(X_F X_F^T) a = 1 - X_F w_U``; ``lstsq`` gives the
+    minimum-norm solution when ``X_F`` is rank deficient.  Returns the
+    duals with ``a`` clipped to [0, C] and ``w = w_U + a X_F``.
+    """
+    xf = xy[free]
+    w_u = c * xy[alpha >= c].sum(axis=0)
+    a = np.linalg.lstsq(xf @ xf.T, 1.0 - xf @ w_u, rcond=None)[0]
+    out = alpha.copy()
+    out[free] = np.clip(a, 0.0, c)
+    return out, w_u + out[free] @ xf
+
+
 def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     """Solve the binary problem to within ``cfg.tol`` of the optimum.
 
@@ -176,16 +211,27 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     open, all coordinates return and the thresholds are cleared; on an
     epoch that visited every coordinate this instead ends the solve.
 
+    After an epoch whose gap test fails, if the free set F (duals
+    strictly between 0 and C) is non-empty, equals the previous epoch's,
+    has not been tried before and has at most as many members as the
+    rows have columns, the dual is maximized over F with the other duals
+    held (:func:`_free_set_step`).  The result is kept only if the dual
+    ``sum(alpha) - 0.5|w|^2`` rises; ``w`` is then rebuilt from its
+    parts and the same gap test runs again over all rows.  A rejected
+    or unhelpful step costs one small solve and changes nothing, so the
+    certificate does not depend on the step.
+
     A :class:`ConvergenceWarning` is emitted when ``cfg.max_epochs``
     runs out with the gap still open.  ``stats`` on the returned model
-    records epochs, coordinate visits, the final gap and convergence.
+    records epochs, coordinate visits, the final gap, convergence and
+    the number of accepted free-set steps.
     """
     xa, ya = _as_xy(x, y)
     if np.all(ya == ya[0]):
         raise SingleClassData("training data contains a single class")
     if cfg.bias:
         xa = _augment_bias(xa)
-    n = xa.shape[0]
+    n, cols = xa.shape
     xy = xa * ya[:, None]
     # Python floats, prebuilt row views and ndarray.dot (no ufunc
     # dispatch, same BLAS ddot as ``@``) keep the per-coordinate step cheap.
@@ -193,13 +239,14 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     qdiag = np.einsum("ij,ij->i", xy, xy).tolist()
     c = float(cfg.C)
 
-    w = np.zeros(xa.shape[1])
+    w = np.zeros(cols)
     alpha = [0.0] * n
     rng = np.random.default_rng(cfg.seed)
     active = np.arange(n)
     pg_hi, pg_lo = math.inf, -math.inf
-    visits = 0
+    visits = steps = 0
     converged = False
+    prev_free, tried = None, set()
     for epochs in range(1, cfg.max_epochs + 1):
         full = len(active) == n
         hi, lo = -math.inf, math.inf
@@ -234,10 +281,25 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
                     w += (new - a) * row
         visits += len(active)
         active = np.array(kept, dtype=np.intp)
-        margins = xy @ w
-        ww = float(w @ w)
-        primal = 0.5 * ww + c * float(np.maximum(0.0, 1.0 - margins).sum())
-        gap = primal - (math.fsum(alpha) - 0.5 * ww)
+        primal, dual = _primal_dual(xy, w, alpha, c)
+        if primal - dual > cfg.tol * (1.0 + abs(primal)):
+            # Once the free set has held for two epochs, solve it exactly;
+            # each distinct set is tried once.
+            al = np.array(alpha)
+            free = np.flatnonzero((al > 0.0) & (al < c))
+            key = free.tobytes()
+            if key == prev_free and key not in tried and 0 < free.size <= cols:
+                tried.add(key)
+                al, w_f = _free_set_step(xy, al, free, c)
+                p_f, d_f = _primal_dual(xy, w_f, al, c)
+                if d_f > dual:
+                    alpha, w, primal, dual = al.tolist(), w_f, p_f, d_f
+                    steps += 1
+                    # The epoch's projected gradients predate the step,
+                    # so they cannot end the solve.
+                    full = False
+            prev_free = key
+        gap = primal - dual
         if gap <= cfg.tol * (1.0 + abs(primal)):
             converged = True
             break
@@ -264,7 +326,7 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     obj = objective(w, xa, ya, c)
     return BinaryModel(
         w=w, C_used=c, objective_value=obj, bias=cfg.bias,
-        stats=SolverStats(epochs, visits, gap, converged),
+        stats=SolverStats(epochs, visits, gap, converged, steps),
     )
 
 
@@ -494,7 +556,10 @@ def load_model(path) -> MulticlassModel:
             dim = w.size
         elif w.size != dim:
             raise MalformedFile(f"{path}: inconsistent weight dimensions")
-        models[key] = BinaryModel(w, c_used, obj, bias)
+        try:
+            models[key] = BinaryModel(w, c_used, obj, bias)
+        except ValueError as exc:
+            raise MalformedFile(f"{path}: model {parts[0]!r}: {exc}") from exc
     if not models:
         raise MalformedFile(f"{path}: no model lines")
     try:

@@ -56,3 +56,23 @@ def random_matrix(rng):
         return FeatureMatrix(ids, values)
 
     return _make
+
+
+def sixteen_view_rows(seed, n_classes, images_per_class, dim,
+                      image_noise=1.0, view_noise=4.0):
+    """Unit-norm 16-view rows of images over orthonormal class means.
+
+    Returns ``(ids, x, labels)``: row ids ``img#v`` in image-major order,
+    the (n_images*16, dim) rows, and the class of each image id.
+    """
+    rng = np.random.default_rng(seed)
+    means = np.linalg.qr(rng.standard_normal((dim, n_classes)))[0].T
+    ids, rows, labels = [], [], {}
+    for i in range(n_classes * images_per_class):
+        img, cls = f"img{i:03d}", i % n_classes
+        base = means[cls] + image_noise * rng.standard_normal(dim) / dim**0.5
+        views = base + view_noise * rng.standard_normal((16, dim)) / dim**0.5
+        rows.append(views / np.linalg.norm(views, axis=1, keepdims=True))
+        ids.extend(f"{img}#{v}" for v in range(16))
+        labels[img] = f"c{cls}"
+    return ids, np.vstack(rows), labels

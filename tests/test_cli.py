@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import dual_cd_reference
 
-from conftest import stub_command
+from conftest import sixteen_view_rows, stub_command
 from featkit import metrics, svm
 from featkit.cli import main
 from featkit.features import (
@@ -257,6 +258,83 @@ class TestTrainPredict:
             assert solver[key][2:] == ["1", "24", gap, "0"]
             assert float(gap) > 0.0
         assert capsys.readouterr().err.count("did not converge") == 3
+
+    def test_free_set_step_lines_follow_solver_lines(self, blob_data,
+                                                     tmp_path):
+        _, _, fpath, lpath = blob_data
+        report_path = tmp_path / "train.tsv"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ova", "--C", "1.0",
+            "--model-out", tmp_path / "m.tsvm", "--report", report_path,
+        ) == 0
+        rows = [ln.split("\t") for ln in report_path.read_text().splitlines()]
+        kinds = [r[0] for r in rows]
+        steps = [r for r in rows if r[0] == "free_set_steps"]
+        assert [r[1] for r in steps] == ["0", "1", "2"]
+        assert all(int(r[2]) >= 0 and len(r) == 3 for r in steps)
+        first = kinds.index("free_set_steps")
+        assert kinds[first - 3:first + 3] == ["solver"] * 3 + [
+            "free_set_steps"] * 3
+
+    @pytest.mark.parametrize("strategy", ["ova", "ovo"])
+    def test_augmented_models_converge_to_reference(self, tmp_path,
+                                                    strategy):
+        ids, x, image_labels = sixteen_view_rows(11, 4, 3, 32)
+        fpath, lpath = tmp_path / "feats.tsv", tmp_path / "labels.tsv"
+        save_features(FeatureMatrix(tuple(ids), x), fpath)
+        save_labels(image_labels, lpath)
+        report_path = tmp_path / "train.tsv"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", strategy, "--C", "2", "--augment",
+            "--model-out", tmp_path / "m.tsvm", "--report", report_path,
+        ) == 0
+        rows = [ln.split("\t") for ln in report_path.read_text().splitlines()]
+        objective = {r[1]: float(r[2]) for r in rows if r[0] == "objective"}
+        solver = {r[1]: r[2:] for r in rows if r[0] == "solver"}
+        assert len(solver) == (4 if strategy == "ova" else 6)
+        # Rows are already unit-norm, so augmentation changes them only
+        # by rounding.
+        row_class = np.repeat(
+            [int(image_labels[i.partition("#")[0]][1:]) for i in ids[::16]],
+            16,
+        )
+        tol = 1e-8
+        for key, (_, _, gap, converged) in solver.items():
+            obj = objective[key]
+            assert converged == "1"
+            assert float(gap) <= tol * (1.0 + abs(obj))
+            if strategy == "ova":
+                mask = np.ones(len(ids), dtype=bool)
+                y = np.where(row_class == int(key), 1.0, -1.0)
+            else:
+                i, j = map(int, key.split(","))
+                mask = (row_class == i) | (row_class == j)
+                y = np.where(row_class[mask] == i, 1.0, -1.0)
+            _, ref, _ = dual_cd_reference(x[mask], y, 2.0, True, tol=tol)
+            assert abs(obj - ref) <= 2 * tol * (1.0 + abs(obj))
+
+    @pytest.mark.parametrize("field,value", [(3, "nan"), (1, "-1")])
+    def test_predict_rejects_bad_model_values(self, blob_data, tmp_path,
+                                              field, value):
+        _, _, fpath, lpath = blob_data
+        model_path = tmp_path / "m.tsvm"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ova", "--C", "1.0", "--model-out", model_path,
+        ) == 0
+        lines = model_path.read_text().splitlines()
+        cells = lines[-1].split("\t")
+        cells[field] = value
+        lines[-1] = "\t".join(cells)
+        model_path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "scores.tsv"
+        assert run(
+            "predict", "--model", model_path, "--features", fpath,
+            "--out", out,
+        ) == 2
+        assert not out.exists()
 
 
 class TestEvaluate:

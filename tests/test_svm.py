@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import sixteen_view_rows
+from featkit import svm
 from featkit.errors import (
     ConvergenceWarning,
     DimMismatch,
@@ -201,6 +203,140 @@ class TestShrinking:
         ).read_bytes()
         assert all(m.stats is None
                    for m in load_model(tmp_path / "a.tsvm").models.values())
+
+
+def _duplicated_rows(seed, d, c, bias, sep):
+    """40 rows with a class shift of ``sep`` along the diagonal, each
+    appearing twice, so free duals come in pairs of identical rows."""
+    rng = np.random.default_rng(seed)
+    y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
+    x = rng.normal(size=(40, d)) + sep * y[:, None] / np.sqrt(d)
+    return np.vstack([x, x]), np.concatenate([y, y]), SolverConfig(
+        C=c, bias=bias
+    )
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """(free set size, Gram rank) of every free-set step tried."""
+    calls = []
+    real = svm._free_set_step
+
+    def recording(xy, alpha, free, c):
+        xf = xy[free]
+        calls.append((free.size, int(np.linalg.matrix_rank(xf @ xf.T))))
+        return real(xy, alpha, free, c)
+
+    monkeypatch.setattr(svm, "_free_set_step", recording)
+    return calls
+
+
+class TestFreeSetStep:
+    @staticmethod
+    def _check(x, y, cfg):
+        _, ref, ref_epochs = dual_cd_reference(
+            x, y, cfg.C, cfg.bias, tol=cfg.tol
+        )
+        m = train_binary(x, y, cfg)
+        obj = m.objective_value
+        assert abs(obj - ref) <= 2 * cfg.tol * (1.0 + abs(obj))
+        assert m.stats.converged
+        assert m.stats.gap <= cfg.tol * (1.0 + abs(obj))
+        return m, ref_epochs
+
+    @pytest.mark.parametrize("seed,case", enumerate(SHRINKING_CASES))
+    def test_shrinking_instances(self, seed, case, step_calls):
+        m, _ = self._check(*_shrinking_instance(seed, *case))
+        assert 1 <= m.stats.free_set_steps <= len(step_calls)
+
+    def test_step_that_lowers_the_dual_rejected(self, monkeypatch):
+        tried = []
+
+        def all_zero(xy, alpha, free, c):
+            tried.append(free.size)
+            return np.zeros_like(alpha), np.zeros(xy.shape[1])
+
+        monkeypatch.setattr(svm, "_free_set_step", all_zero)
+        m, _ = self._check(*_shrinking_instance(1, 0.2, False))
+        assert tried
+        assert m.stats.free_set_steps == 0
+
+    def test_rank_deficient_free_set(self, step_calls):
+        x, y, cfg = _duplicated_rows(0, 64, 1.0, True, 1.0)
+        m, _ = self._check(x, y, cfg)
+        assert m.stats.free_set_steps >= 1
+        # Free duplicates make X_F X_F^T singular; lstsq still solves it.
+        assert any(rank < size for size, rank in step_calls)
+
+    def test_empty_free_set(self, step_calls):
+        # With C this small every margin stays below 1, so every dual
+        # goes straight to C and the free set is always empty.
+        x, y, _ = _shrinking_instance(0, 1.0, True)
+        m, _ = self._check(x, y, SolverConfig(C=1e-4))
+        w_all_at_c = 1e-4 * (np.hstack([x, np.ones((300, 1))]) * y[:, None]
+                             ).sum(axis=0)
+        assert np.abs(m.w - w_all_at_c).max() <= 1e-12
+        assert step_calls == []
+        assert m.stats.free_set_steps == 0
+
+    def test_free_set_larger_than_columns_skipped(self, step_calls):
+        x, y, cfg = _duplicated_rows(0, 10, 10.0, True, 1.5)
+        m, _ = self._check(x, y, cfg)
+        # More rows sit on the margin than there are columns (11), so
+        # the settled free set is too large for the step.
+        xa = np.hstack([x, np.ones((80, 1))])
+        on_margin = np.abs(y * (xa @ m.w) - 1.0) < 1e-6
+        assert on_margin.sum() > xa.shape[1]
+        assert step_calls == []
+        assert m.stats.free_set_steps == 0
+
+    def test_rerun_bit_identical(self):
+        x, y, cfg = _duplicated_rows(0, 64, 1.0, True, 1.0)
+        a = train_binary(x, y, cfg)
+        b = train_binary(x, y, cfg)
+        assert a.stats.free_set_steps >= 1
+        assert np.array_equal(a.w, b.w)
+        assert a.objective_value == b.objective_value
+        assert a.stats == b.stats
+
+    def test_pair_problem_epochs(self):
+        # One one-vs-one pair of 16-view images: 2 images per class,
+        # 64 rows of 128 values.
+        _, x, labels = sixteen_view_rows(5, 2, 2, 128)
+        y = np.repeat([1.0 if labels[k] == "c0" else -1.0
+                       for k in sorted(labels)], 16)
+        m, ref_epochs = self._check(x, y, SolverConfig(C=2.0))
+        assert m.stats.epochs * 3 <= ref_epochs
+
+
+class TestModelValues:
+    @pytest.mark.parametrize("w,c,obj", [
+        ([1.0, np.nan], 1.0, 0.5),
+        ([1.0, np.inf], 1.0, 0.5),
+        ([1.0, 0.0], -1.0, 0.5),
+        ([1.0, 0.0], 0.0, 0.5),
+        ([1.0, 0.0], np.nan, 0.5),
+        ([1.0, 0.0], np.inf, 0.5),
+        ([1.0, 0.0], 1.0, np.nan),
+        ([1.0, 0.0], 1.0, -np.inf),
+    ])
+    def test_non_finite_or_bad_c_rejected(self, w, c, obj):
+        with pytest.raises(ValueError):
+            BinaryModel(np.array(w), c, obj, bias=False)
+
+    @pytest.mark.parametrize("line", [
+        "0\t1.0\t0.5\tnan\t1.0",
+        "0\t-1\t0.5\t1.0\t1.0",
+        "0\t1.0\tinf\t1.0\t1.0",
+    ])
+    def test_load_rejects_bad_values(self, tmp_path, line):
+        p = tmp_path / "m.tsvm"
+        header = "OTSVM1\nova\t2\t1\na\nb\n"
+        p.write_text(header + "0\t1.0\t0.5\t1.0\t1.0\n")
+        assert load_model(p).models[0].C_used == 1.0
+        p.write_text(f"{header}{line}\n")
+        with pytest.raises(MalformedFile):
+            load_model(p)
 
 
 class TestDecision:
