@@ -14,7 +14,9 @@ the geometry callers plan against.
 * :class:`ExternalProcessExtractor` serves a whole batch with one session
   of the line protocol: request ``id<TAB>image_path<TAB>x,y,w,h``, reply
   ``id<TAB>v1,v2,...`` (comma-separated decimals), one reply per request
-  in any order; the process must exit 0 once stdin is closed.
+  in any order; the process must exit 0 once stdin is closed.  An
+  extractor that sends no line for :data:`REPLY_TIMEOUT_S` seconds (from
+  the session start or its last reply) is killed.
   Rotation/mirror geometry is appended to the region field as
   ``;rot=<deg>;mir=<0|1>``.  Its images are ``(path, width, height)``.
 """
@@ -26,6 +28,7 @@ import shlex
 import subprocess
 import tempfile
 import threading
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -254,6 +257,11 @@ class ExternalProcessExtractor:
         return run_protocol(self.command, wire).values
 
 
+# Longest wait, in seconds, for the next reply line or for the exit
+# after the last one; an extractor silent for longer is killed.
+REPLY_TIMEOUT_S = 300.0
+
+
 def _send(stdin, payload: bytes) -> None:
     """Writer thread: feed the request lines, then close stdin."""
     try:
@@ -261,6 +269,24 @@ def _send(stdin, payload: bytes) -> None:
             stdin.write(payload)
     except BrokenPipeError:
         pass  # the extractor stopped reading; its replies tell why
+
+
+def _stamped(lines, last: list):
+    """Yield ``lines``, keeping in ``last[0]`` the time the latest came."""
+    for line in lines:
+        last[0] = time.monotonic()
+        yield line
+
+
+def _watchdog(proc, last: list, finished, expired) -> None:
+    """Kill ``proc`` once ``last[0]`` is REPLY_TIMEOUT_S old, unless
+    ``finished`` is set first; ``expired`` records a kill."""
+    limit = REPLY_TIMEOUT_S
+    while not finished.wait(limit / 8):
+        if time.monotonic() - last[0] > limit:
+            expired.set()
+            proc.kill()
+            return
 
 
 def _read_replies(stdout, slot: dict):
@@ -315,7 +341,9 @@ def run_protocol(command: str, requests) -> FeatureMatrix:
     Request lines (UTF-8) are written by a separate thread while replies
     are parsed as they arrive, so no reply text is buffered.
     Replies are matched by id and returned in request order.  The
-    extractor is killed and reaped on any failure, interrupts included.
+    extractor is killed and reaped on any failure, interrupts included,
+    and when it sends no reply line, or does not exit after its last
+    one, within :data:`REPLY_TIMEOUT_S` seconds.
     """
     ids, lines = [], []
     for rid, path, region in requests:
@@ -341,14 +369,30 @@ def run_protocol(command: str, requests) -> FeatureMatrix:
             raise ExtractorFailure(f"cannot start extractor: {exc}") from exc
         writer = threading.Thread(target=_send, args=(proc.stdin, payload))
         writer.start()
+        last = [time.monotonic()]
+        finished, expired = threading.Event(), threading.Event()
+        watchdog = threading.Thread(
+            target=_watchdog, args=(proc, last, finished, expired)
+        )
+        watchdog.start()
         try:
-            rows, got = _read_replies(proc.stdout, slot)
+            rows, got = _read_replies(_stamped(proc.stdout, last), slot)
             status = proc.wait()
+        except ExtractorFailure:
+            if not expired.is_set():
+                raise
         finally:
+            finished.set()
             proc.kill()  # no-op once the process has been reaped
             proc.wait()
             proc.stdout.close()
             writer.join()
+            watchdog.join()
+        if expired.is_set():
+            raise ExtractorFailure(
+                f"extractor sent no reply line for {REPLY_TIMEOUT_S:g} s "
+                "and was killed"
+            )
         if status != 0:
             err.seek(0)
             tail = err.read().decode("utf-8", "replace").strip()

@@ -156,23 +156,43 @@ def pca_fit(x, k: int, epsilon: float = 1e-10) -> PcaWhitenModel:
     return PcaWhitenModel(mean, comps, eigs, epsilon)
 
 
-def pca_whiten_apply(model: PcaWhitenModel, v) -> np.ndarray:
+def pca_whiten_apply(model: PcaWhitenModel, v, block: int = 1
+                     ) -> np.ndarray:
     """Project onto the fitted basis and scale to unit variance per axis.
 
-    ``v`` is one vector (d,) or rows (n, d).  Each row is projected by its
-    own matrix-vector product, stacked into one call: one GEMM would let
-    the BLAS kernel, chosen by the batch shape, change a row's low bits
-    with the number of rows beside it.  This way a row's result does not
-    depend on its batch, and a batch of one is the single-vector chain.
+    ``v`` is one vector (d,) or rows (n, d).  With ``block=1`` each row is
+    projected by its own matrix-vector product, stacked into one call, so
+    a row's bits do not depend on its batch and a batch of one is the
+    single-vector chain.  A larger ``block`` projects each run of
+    ``block`` rows with one ``(block, d) @ components.T`` product, the
+    last run zero-padded to full size.  A row's bits then depend on its
+    position in the run, on the run's shape, and on the BLAS build and
+    thread count, but not on the contents of the other rows; the same
+    row at the same position of another run gets the same bits.
     """
     a = np.asarray(v, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
-    centered = np.atleast_2d(a) - model.mean
-    proj = np.matmul(model.components, centered[:, :, None])[:, :, 0]
-    out = proj / np.sqrt(model.eigenvalues + model.epsilon)
+    if block < 1:
+        raise ValueError("block must be at least 1")
+    rows = np.atleast_2d(a)
+    n = rows.shape[0]
+    out = np.empty((n, model.k))
+    if block == 1:
+        np.matmul(model.components, (rows - model.mean)[:, :, None],
+                  out=out[:, :, None])
+    else:
+        comps_t = model.components.T
+        buf = np.zeros((block, model.dim_in))
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            if stop - start < block:
+                buf[stop - start:] = 0.0
+            np.subtract(rows[start:stop], model.mean, out=buf[: stop - start])
+            out[start:stop] = (buf @ comps_t)[: stop - start]
+    out /= np.sqrt(model.eigenvalues + model.epsilon)
     return out[0] if a.ndim == 1 else out
 
 
@@ -198,17 +218,22 @@ def retrieval_pipeline_fit(x, cfg: PipelineConfig = PipelineConfig()
 
 
 def retrieval_pipeline_apply(model: PcaWhitenModel, cfg: PipelineConfig,
-                             v) -> np.ndarray:
+                             v, block: int = 1) -> np.ndarray:
     """Full chain for one vector (d,) or for each row of (n, d).
 
-    Output has ``model.k`` columns; a 1-D input is a batch of one.
+    Output has ``model.k`` columns; a 1-D input is a batch of one.  The
+    projection runs ``block`` rows per product (see
+    :func:`pca_whiten_apply`); every other step works row by row, so a
+    row's bits depend on its position in its block, the block shape and
+    the BLAS build and thread count, never on the other rows' contents.
+    The default ``block=1`` makes each row equal the one-vector chain.
     """
     a = np.asarray(v, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
-    z = pca_whiten_apply(model, _unit_rows(np.atleast_2d(a)))
+    z = pca_whiten_apply(model, _unit_rows(np.atleast_2d(a)), block)
     out = signed_power(_unit_rows(z), cfg.power)
     return out[0] if a.ndim == 1 else out
 
@@ -226,6 +251,12 @@ def dump_pca_model_text(model: PcaWhitenModel) -> str:
 
 
 def parse_pca_model_text(text: str, source="<text>") -> PcaWhitenModel:
+    """Read the text of :func:`dump_pca_model_text`.
+
+    The mean and component rows are parsed by one ``np.loadtxt`` call and
+    the eigenvalue row by a second; both read the decimal text exactly
+    as ``float`` does.
+    """
     lines = text.split("\n")
     if not lines or lines[0] != PCAW_MAGIC:
         raise MalformedFile(f"{source}: bad model header")
@@ -234,20 +265,26 @@ def parse_pca_model_text(text: str, source="<text>") -> PcaWhitenModel:
         k, d, eps = int(k_s), int(d_s), float(eps_s)
     except (IndexError, ValueError):
         raise MalformedFile(f"{source}: bad model size line") from None
+    if k < 1 or d < 1:
+        raise MalformedFile(f"{source}: bad model size line")
     if len(lines) < 3 + k + 1:
         raise MalformedFile(f"{source}: truncated model")
+    rows = lines[2 : 4 + k]
+    if not all(rows):
+        raise MalformedFile(f"{source}: empty model row")
     try:
-        mean = np.asarray([float(v) for v in lines[2].split("\t")])
-        comps = np.asarray(
-            [[float(v) for v in lines[3 + i].split("\t")] for i in range(k)]
-        )
-        eigs = np.asarray([float(v) for v in lines[3 + k].split("\t")])
+        block = np.loadtxt(rows[:-1], delimiter="\t", comments=None,
+                           ndmin=2)
+        eigs = np.loadtxt(rows[-1:], delimiter="\t", comments=None,
+                          ndmin=1)
     except ValueError:
-        raise MalformedFile(f"{source}: non-numeric model row") from None
-    if mean.size != d or comps.shape != (k, d) or eigs.size != k:
+        raise MalformedFile(
+            f"{source}: non-numeric or ragged model row"
+        ) from None
+    if block.shape != (k + 1, d) or eigs.shape != (k,):
         raise MalformedFile(f"{source}: model shapes inconsistent")
     try:
-        return PcaWhitenModel(mean, comps, eigs, eps)
+        return PcaWhitenModel(block[0], block[1:], eigs, eps)
     except ValueError as exc:
         raise MalformedFile(f"{source}: {exc}") from exc
 

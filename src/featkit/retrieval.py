@@ -173,7 +173,9 @@ def build_index(references, config: SpatialSearchConfig, binding
     patches = extract_patches(binding, refs, config.h_r)
     pooled = np.vstack([raw for _, raw in patches])
     model = retrieval_pipeline_fit(pooled, config.pipeline)
-    processed = retrieval_pipeline_apply(model, config.pipeline, pooled)
+    processed = retrieval_pipeline_apply(
+        model, config.pipeline, pooled, block=patch_count(config.h_r)
+    )
     blocks = np.split(processed.astype(np.float32), len(refs))
     entries = [
         ReferenceEntry(ref_id, rects, block)
@@ -183,7 +185,15 @@ def build_index(references, config: SpatialSearchConfig, binding
 
 
 def query_distance(query_vecs, entry_vectors) -> float:
-    """Mean over query patches of the min distance to the reference."""
+    """Mean over query patches of the min distance to the reference.
+
+    The result equals, bit for bit, the brute-force form that takes
+    every pair distance as ``sqrt(sum((q_i - r_j)**2))`` and reduces
+    with min, then mean.  One matrix product gives every approximate
+    pair distance (``|q|^2 + |r|^2 - 2 q.r``, clamped at zero); only the
+    pairs within twice a rounding bound of their query patch's
+    approximate minimum get the exact form, with the same reductions.
+    """
     q = np.asarray(query_vecs, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] < 1:
         raise EmptyInput("need at least one query patch")
@@ -192,8 +202,32 @@ def query_distance(query_vecs, entry_vectors) -> float:
         raise DimMismatch(
             f"query patches {q.shape} vs reference patches {r.shape}"
         )
-    d = np.sqrt(((q[:, None, :] - r[None, :, :]) ** 2).sum(axis=2))
-    return float(d.min(axis=1).mean())
+    q_sq = np.einsum("ij,ij->i", q, q)
+    r_sq = np.einsum("ij,ij->i", r, r)
+    approx = q_sq[:, None] + r_sq[None, :] - 2.0 * (q @ r.T)
+    np.sqrt(np.maximum(approx, 0.0, out=approx), out=approx)
+    # Pair bound.  Let u be the unit roundoff and M = max|q_i| +
+    # max|r_j|, so M bounds every |q_i - r_j| and |q_i| + |r_j|.  Each
+    # approximate squared distance sums three length-dim dot products
+    # with two additions, so it is within (dim + 2) u M^2 of the true
+    # one (to first order); its clamped, rounded root is within
+    # sqrt((dim + 2) u) M + u M of the true distance, as |sqrt a -
+    # sqrt b| <= sqrt|a - b|.  The exact form rounds each difference,
+    # square, partial sum and root: within (dim + 3) u M.  delta doubles
+    # the sum of both to cover higher-order rounding.  With every
+    # approximate distance within delta of its exact value, the pair
+    # with the smallest exact value scores at most its patch's
+    # approximate minimum plus 2 delta, so it is kept.  NaN compares
+    # false and keeps its pair, so a NaN propagates as in brute force.
+    u = np.finfo(np.float64).eps / 2.0
+    dim = q.shape[1]
+    big_m = float(np.sqrt(q_sq.max()) + np.sqrt(r_sq.max()))
+    delta = 2.0 * big_m * (np.sqrt((dim + 2) * u) + (dim + 4) * u)
+    keep = ~(approx > approx.min(axis=1, keepdims=True) + 2.0 * delta)
+    qi, rj = np.nonzero(keep)
+    exact = np.sqrt(((q[qi] - r[rj]) ** 2).sum(axis=1))
+    starts = np.searchsorted(qi, np.arange(q.shape[0]))
+    return float(np.minimum.reduceat(exact, starts).mean())
 
 
 def query_patch_vectors(index: RetrievalIndex, query, binding,
@@ -220,7 +254,8 @@ def query_patch_vectors(index: RetrievalIndex, query, binding,
     if not np.all(np.isfinite(raw)):
         raise ValueError("query patch features must be finite")
     processed = retrieval_pipeline_apply(
-        index.model, index.config.pipeline, raw
+        index.model, index.config.pipeline, raw,
+        block=patch_count(index.config.h_r),
     )
     return processed.astype(np.float32)
 

@@ -11,6 +11,9 @@ answers ``id<TAB>v1,v2,...`` lines.  The first argument picks a mode:
     crash       exit 3 without replying
     malformed-then-hang
                 print a malformed line, then sleep 60 s without reading
+    reply-then-hang N
+                read every request, answer the first N like derive, then
+                sleep 60 s with stdout open
 """
 
 import sys
@@ -26,6 +29,7 @@ def main() -> int:
         print("not a reply line", flush=True)
         time.sleep(60)
         return 0
+    replies = int(sys.argv[2]) if mode == "reply-then-hang" else None
     first = True
     out = []
     for line in sys.stdin:
@@ -47,8 +51,10 @@ def main() -> int:
         out.append(rid + "\t" + ",".join(repr(v) for v in vec) + "\n")
     if mode == "reverse":
         out.reverse()
-    sys.stdout.write("".join(out))
+    sys.stdout.write("".join(out[:replies]))
     sys.stdout.flush()
+    if replies is not None:
+        time.sleep(60)
     return 0
 
 

@@ -257,6 +257,18 @@ def query_distance_oracle(query_vecs, ref_vecs) -> float:
     return total / count
 
 
+def query_distance_broadcast(query_vecs, ref_vecs) -> float:
+    """Every pair distance by broadcasting, then min and mean.
+
+    The form ``retrieval.query_distance`` had before it pruned pairs; its
+    reductions fix the bits that the pruned form must reproduce.
+    """
+    q = np.asarray(query_vecs, dtype=np.float64)
+    r = np.asarray(ref_vecs, dtype=np.float64)
+    d = np.sqrt(((q[:, None, :] - r[None, :, :]) ** 2).sum(axis=2))
+    return float(d.min(axis=1).mean())
+
+
 # --------------------------------------------------------------------
 # Geometry oracles
 # --------------------------------------------------------------------

@@ -174,13 +174,16 @@ def test_module_level_extract_dispatch(random_matrix):
     )
 
 
+def _python(script: str) -> str:
+    return shlex.join([sys.executable, "-c", script])
+
+
 def _print_then_hang(lines) -> str:
     """Command that prints ``lines``, flushes, then sleeps 60 s."""
-    script = (
+    return _python(
         f"import sys, time; sys.stdout.write({lines!r}); "
         "sys.stdout.flush(); time.sleep(60)"
     )
-    return shlex.join([sys.executable, "-c", script])
 
 
 class TestStreamingSession:
@@ -228,6 +231,44 @@ class TestStreamingSession:
     def test_duplicate_request_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate request id"):
             run_protocol(stub_command("fixed"), [self.two[0], self.two[0]])
+
+
+class TestReplyDeadline:
+    two = TestStreamingSession.two
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(featkit.extractors, "REPLY_TIMEOUT_S", 0.5)
+
+    @pytest.mark.parametrize("command", [
+        stub_command("reply-then-hang 0"),
+        stub_command("reply-then-hang 1"),
+        # every reply sent and stdout closed, but the process never exits
+        _python("import os, sys, time; sys.stdin.read(); "
+                "sys.stdout.write('a\\t1.0\\nb\\t2.0\\n'); "
+                "sys.stdout.flush(); os.close(1); time.sleep(60)"),
+    ], ids=["silent", "one-of-two", "no-exit"])
+    def test_silent_extractor_is_killed(self, popen_starts, command):
+        t0 = time.monotonic()
+        with pytest.raises(ExtractorFailure, match="no reply line for 0.5 s"):
+            run_protocol(command, self.two)
+        assert 0.5 <= time.monotonic() - t0 < 10.0
+        assert len(popen_starts) == 1
+        assert popen_starts[0].poll() is not None
+
+    def test_deadline_is_per_line_not_per_session(self, monkeypatch):
+        # five replies 0.3 s apart: 1.5 s in all, each within 1 s
+        monkeypatch.setattr(featkit.extractors, "REPLY_TIMEOUT_S", 1.0)
+        slow = _python("import sys, time\n"
+                       "for line in sys.stdin:\n"
+                       "    time.sleep(0.3)\n"
+                       "    print(line.split('\\t')[0] + '\\t1.0', "
+                       "flush=True)")
+        reqs = [(f"r{i}", "img", Rect(0, 0, 1, 1)) for i in range(5)]
+        t0 = time.monotonic()
+        m = run_protocol(slow, reqs)
+        assert time.monotonic() - t0 > 1.0
+        assert m.ids == tuple(r for r, _, _ in reqs)
 
 
 def _toy_requests(grid):

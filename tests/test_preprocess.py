@@ -12,8 +12,10 @@ from featkit.errors import (
 from featkit.preprocess import (
     PcaWhitenModel,
     PipelineConfig,
+    dump_pca_model_text,
     l2_normalize,
     load_pca_model,
+    parse_pca_model_text,
     pca_fit,
     pca_whiten_apply,
     retrieval_pipeline_apply,
@@ -229,6 +231,12 @@ class TestRetrievalPipeline:
         with pytest.raises(DimMismatch):
             retrieval_pipeline_apply(model, cfg, np.zeros((2, 3, 4)))
 
+    def test_block_argument_validated(self, rng):
+        cfg = PipelineConfig(pca_dim=2)
+        model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), cfg)
+        with pytest.raises(ValueError):
+            retrieval_pipeline_apply(model, cfg, np.zeros((3, 4)), block=0)
+
     def test_k1_output_is_signed_unit(self, rng):
         x = rng.normal(size=(10, 3))
         cfg = PipelineConfig(pca_dim=1)
@@ -238,6 +246,54 @@ class TestRetrievalPipeline:
             for _ in range(20)
         }
         assert vals <= {-1.0, 0.0, 1.0}
+
+
+class TestBlockedChain:
+    """``block=P``: one product per run of P rows, the last zero-padded.
+
+    A row's float64 bits depend on its position in its run and on the
+    run's shape, never on the other rows of the run.
+    """
+
+    P = 30
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        rng = np.random.default_rng(77)
+        cfg = PipelineConfig(pca_dim=200)
+        model = retrieval_pipeline_fit(rng.normal(size=(400, 768)), cfg)
+        x = rng.normal(size=(3 * self.P + 11, 768))
+        return model, cfg, x, retrieval_pipeline_apply(model, cfg, x,
+                                                       block=self.P)
+
+    def test_same_position_same_bits(self, chain):
+        model, cfg, x, out = chain
+        rng = np.random.default_rng(78)
+        run = x[self.P : 2 * self.P].copy()
+        run[14:] = rng.normal(size=(self.P - 14, x.shape[1]))
+        again = retrieval_pipeline_apply(model, cfg, run, block=self.P)
+        assert np.array_equal(again[:14], out[self.P : self.P + 14])
+
+    def test_short_runs_are_padded_to_block_shape(self, chain):
+        model, cfg, x, out = chain
+        for m in (1, 14, 29):
+            head = retrieval_pipeline_apply(model, cfg, x[:m], block=self.P)
+            assert np.array_equal(head, out[:m])
+        tail = retrieval_pipeline_apply(model, cfg, x[3 * self.P :],
+                                        block=self.P)
+        assert np.array_equal(tail, out[3 * self.P :])
+
+    def test_one_vector_is_a_padded_block(self, chain):
+        model, cfg, x, out = chain
+        row = retrieval_pipeline_apply(model, cfg, x[2 * self.P],
+                                       block=self.P)
+        assert row.shape == (model.k,)
+        assert np.array_equal(row, out[2 * self.P])
+
+    def test_close_to_per_row_chain(self, chain):
+        model, cfg, x, out = chain
+        per_row = retrieval_pipeline_apply(model, cfg, x)
+        assert np.abs(out - per_row).max() <= 1e-12
 
 
 class TestPcawPersistence:
@@ -265,3 +321,59 @@ class TestPcawPersistence:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedFile):
             load_pca_model(p)
+
+
+def _edge_model():
+    """A model whose values need every digit and sign of their text."""
+    mean = np.array([-0.0, 2.5e-310, 5e-324, 1e16, 1e-5])
+    comps = np.array([
+        [1e-5, -0.0, 1e16, 5e-324, -2.5e-310],
+        [0.1, -1.0 / 3.0, 2.0 ** -1074, -1e16, 1.7976931348623157e308],
+    ])
+    return PcaWhitenModel(mean, comps, np.array([1e16, 5e-324]), 1e-5)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestPcawParser:
+    def test_bit_exact_round_trip(self):
+        model = _edge_model()
+        back = parse_pca_model_text(dump_pca_model_text(model))
+        for name in ("mean", "components", "eigenvalues"):
+            assert np.array_equal(_bits(getattr(back, name)),
+                                  _bits(getattr(model, name)))
+        assert back.epsilon == model.epsilon
+
+    @pytest.mark.parametrize("row", [2, 4, 5], ids=["mean", "component",
+                                                      "eigenvalues"])
+    @pytest.mark.parametrize("edit", [
+        lambda cells: ["#"],
+        lambda cells: ["#"] + cells,
+        lambda cells: [""],
+        lambda cells: cells[:-1],
+        lambda cells: cells + ["1.0"],
+        lambda cells: cells[:1] + ["abc"] + cells[2:],
+        lambda cells: cells[:1] + [""] + cells[2:],
+    ], ids=["hash", "hash-prefix", "empty-line", "short", "long",
+            "non-numeric", "empty-cell"])
+    def test_malformed_rows(self, row, edit):
+        lines = dump_pca_model_text(_edge_model()).split("\n")
+        lines[row] = "\t".join(edit(lines[row].split("\t")))
+        with pytest.raises(MalformedFile):
+            parse_pca_model_text("\n".join(lines))
+
+    def test_empty_line_inside_block(self):
+        lines = dump_pca_model_text(_edge_model()).split("\n")
+        lines.insert(3, "")
+        with pytest.raises(MalformedFile):
+            parse_pca_model_text("\n".join(lines))
+
+    @pytest.mark.parametrize("size_line", ["0\t5\t1e-05", "-1\t5\t1e-05",
+                                           "2\t0\t1e-05", "2\t5"])
+    def test_bad_size_line(self, size_line):
+        lines = dump_pca_model_text(_edge_model()).split("\n")
+        lines[1] = size_line
+        with pytest.raises(MalformedFile):
+            parse_pca_model_text("\n".join(lines))

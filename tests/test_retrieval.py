@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,20 @@ from featkit.errors import (
     MalformedFile,
 )
 from featkit.extractors import FileBackedExtractor, ToyPixelExtractor
-from featkit.features import FeatureMatrix, PixelGrid, Rect
+from featkit.features import (
+    FeatureMatrix,
+    PixelGrid,
+    Rect,
+    fmt_float,
+    load_features,
+)
 from featkit.preprocess import PipelineConfig
 from featkit.retrieval import (
     ReferenceEntry,
     RetrievalIndex,
     SpatialSearchConfig,
     build_index,
+    extract_patches,
     level_rects,
     load_index,
     patch_count,
@@ -24,7 +33,14 @@ from featkit.retrieval import (
     save_index,
     search,
 )
-from oracles import coverage_bitmap, min_distance_oracle, query_distance_oracle
+from oracles import (
+    coverage_bitmap,
+    min_distance_oracle,
+    query_distance_broadcast,
+    query_distance_oracle,
+)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _upsample_bilinear(coarse, size):
@@ -109,6 +125,9 @@ class TestDistances:
     def test_identical_patch_distance_zero(self, rng):
         refs = rng.normal(size=(30, 8))
         assert query_distance(refs[17:18], refs) == 0.0
+        refs = rng.normal(size=(30, 500)).astype(np.float32)
+        assert query_distance(refs[:14], refs) == 0.0
+        assert query_distance(refs[[3, 3, 29]], refs) == 0.0
 
     def test_single_patch_plain_l2(self, rng):
         q = rng.normal(size=(1, 5))
@@ -146,6 +165,60 @@ class TestDistances:
     def test_empty_query_rejected(self, rng):
         with pytest.raises(EmptyInput):
             query_distance(np.zeros((0, 4)), rng.normal(size=(5, 4)))
+
+
+def _near_tie_case(rng, m, n, dim):
+    """float32 patches with exact and one-ulp near ties on both sides.
+
+    Reference patch 1 duplicates patch 0 and patch 2 sits one float32
+    ulp from it; each query patch copies a reference patch, copies one
+    and moves a component by one ulp, or is random.
+    """
+    r = (rng.normal(size=(n, dim)) * rng.choice([1e-3, 1.0, 30.0])
+         ).astype(np.float32)
+    if n >= 3:
+        r[1] = r[0]
+        r[2] = r[0]
+        j = rng.integers(dim)
+        r[2, j] = np.nextafter(r[2, j], np.float32(np.inf))
+    q = rng.normal(size=(m, dim)).astype(np.float32) * r.std()
+    for i in range(m):
+        kind = rng.integers(3)
+        if kind < 2:
+            q[i] = r[rng.integers(min(n, 3))
+                     if rng.random() < 0.5 else rng.integers(n)]
+        if kind == 1:
+            j = rng.integers(dim)
+            q[i, j] = np.nextafter(q[i, j], np.float32(-np.inf))
+    return q, r
+
+
+class TestPrunedDistanceIsBitExact:
+    """``query_distance`` against the broadcast form, compared with ==."""
+
+    def test_seeded_shapes(self):
+        rng = np.random.default_rng(20140307)
+        for trial in range(600):
+            m = int(rng.integers(1, 20))
+            n = int(rng.integers(1, 35))
+            dim = int(rng.choice([1, 3, 8, 12, 64, 500]))
+            q, r = _near_tie_case(rng, m, n, dim)
+            assert query_distance(q, r) == query_distance_broadcast(q, r), (
+                trial, m, n, dim
+            )
+
+    def test_float64_inputs(self, rng):
+        for _ in range(50):
+            q = rng.normal(size=(14, 40))
+            r = np.vstack([q[:5] + 1e-13, rng.normal(size=(25, 40))])
+            assert query_distance(q, r) == query_distance_broadcast(q, r)
+
+    def test_nan_propagates_like_broadcast(self, rng):
+        q = rng.normal(size=(4, 6))
+        r = rng.normal(size=(9, 6))
+        r[5, 2] = np.nan
+        assert np.isnan(query_distance(q, r))
+        assert np.isnan(query_distance_broadcast(q, r))
 
 
 class TestBuildIndex:
@@ -419,3 +492,86 @@ class TestIndexPersistence:
 def test_entry_validation(rng):
     with pytest.raises(ValueError):
         ReferenceEntry("r", (Rect(0, 0, 1, 1),), rng.normal(size=(2, 3)))
+
+
+def _self_match_setup(binding_kind, h_r, dim, rng):
+    """(references, binding) with five references of ``dim``-d patches."""
+    n_refs, n_patches = 5, patch_count(h_r)
+    if binding_kind == "toy":
+        grid = int(round(dim ** 0.5))
+        return _toy_corpus(rng, n=n_refs, size=64), ToyPixelExtractor(grid)
+    scale = rng.choice([1e-3, 1.0, 1e3], size=(n_refs * n_patches, 1))
+    values = rng.normal(size=(n_refs * n_patches, dim)) * scale
+    ids = [f"ref{i}#{k}" for i in range(n_refs) for k in range(n_patches)]
+    store = FeatureMatrix(tuple(ids), values)
+    return [(f"ref{i}", None) for i in range(n_refs)], \
+        FileBackedExtractor(store)
+
+
+class TestSelfMatchExactlyZero:
+    """The index projects each reference's patches with one product over
+    a block of patch_count(h_r) rows, and a query's patch j sits at row
+    j mod patch_count(h_r) of its own blocks (the last zero-padded).  A
+    query made of a reference's raw rows therefore reproduces that
+    reference's stored vectors bit for bit and ranks it first at 0.0.
+    With h_q > h_r the query repeats the reference's rows in order, so
+    the patches past patch_count(h_r) land in the padded block.  The toy
+    extractor gives d = g * g: 9, 64 and 784 stand in for 12, 64, 768.
+    """
+
+    @pytest.mark.parametrize("binding_kind, dim", [
+        ("file", 12), ("file", 64), ("file", 768),
+        ("toy", 9), ("toy", 64), ("toy", 784),
+    ])
+    @pytest.mark.parametrize("h_r, h_q", [(3, 2), (2, 2), (2, 3)])
+    def test_reference_rows_as_query(self, binding_kind, dim, h_r, h_q):
+        rng = np.random.default_rng(1000 * h_r + 100 * h_q + dim)
+        refs, binding = _self_match_setup(binding_kind, h_r, dim, rng)
+        cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q,
+                                  pipeline=PipelineConfig(pca_dim=500))
+        with pytest.warns(UserWarning):
+            index = build_index(refs, cfg, binding)
+        tile = np.arange(patch_count(h_q)) % patch_count(h_r)
+        raws = extract_patches(binding, refs, h_r)
+        for (ref_id, image), (_, raw) in zip(refs, raws):
+            assert search(index, raw[tile], top_k=1) == [(ref_id, 0.0)]
+            if binding_kind == "toy" and h_q <= h_r:
+                assert search(index, image, binding, top_k=1) == [
+                    (ref_id, 0.0)
+                ]
+
+
+class TestOtidx1Fixture:
+    """A small OTIDX1 index committed with its queries and ranking.
+
+    ``tests/data/otidx1_small.idx`` holds 4 references x 5 patches
+    (h_r = h_q = 2) of seeded 12-d rows with the chain at k = 8;
+    ``otidx1_small_queries.tsv`` holds the raw rows of three queries (a
+    copy of ref2, ref0 plus noise, random rows) and
+    ``otidx1_small_ranking.tsv`` their top-4 rankings.  All three were
+    written by ``save_index``, ``save_features`` and ``search`` before
+    the per-image block product, and are never regenerated: they pin the
+    legacy format and the rankings it must keep giving.
+    """
+
+    def test_load_then_search_reproduces_ranking(self):
+        index = load_index(DATA / "otidx1_small.idx")
+        rows = load_features(DATA / "otidx1_small_queries.tsv")
+        queries = {}
+        for rep_id, row in zip(rows.ids, rows.values):
+            queries.setdefault(rep_id.rpartition("#")[0], []).append(row)
+        lines = [
+            f"{qid}\t{rank}\t{ref_id}\t{fmt_float(dist)}"
+            for qid, raw in queries.items()
+            for rank, (ref_id, dist) in enumerate(
+                search(index, np.stack(raw), top_k=4), 1
+            )
+        ]
+        expected = (DATA / "otidx1_small_ranking.tsv").read_text()
+        assert "\n".join(lines) + "\n" == expected
+        assert lines[0] == "q0\t1\tref2\t0.0"
+
+    def test_load_then_save_reproduces_bytes(self, tmp_path):
+        p = tmp_path / "again.idx"
+        save_index(load_index(DATA / "otidx1_small.idx"), p)
+        assert p.read_bytes() == (DATA / "otidx1_small.idx").read_bytes()
