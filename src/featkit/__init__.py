@@ -4,7 +4,6 @@ metrics that go with them."""
 
 from .augment import (
     AugmentConfig,
-    TransformPlan,
     augment_training_set,
     augmentation_plans,
     crop_rects,
@@ -17,6 +16,7 @@ from .extractors import (
     ExternalProcessExtractor,
     FileBackedExtractor,
     ToyPixelExtractor,
+    TransformPlan,
 )
 from .features import (
     FeatureMatrix,

@@ -11,28 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import preprocess
 from .errors import DegenerateImage, EmptyInput
-from .extractors import TransformPlan, serialize_plan  # noqa: F401 - re-export
+from .extractors import TransformPlan
 from .features import FeatureMatrix, Rect, iround
-from .preprocess import l2_normalize
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
     rotation_angles: tuple = (20.0, -20.0)
     crop_area_fraction: float = 4.0 / 9.0
-    pooling: str = "sum"
-    bbox_enlarge_factor: float = 1.5
 
     def __post_init__(self):
         if len(self.rotation_angles) != 2:
             raise ValueError("expected exactly two rotation angles")
         if not 0.0 < self.crop_area_fraction <= 1.0:
             raise ValueError("crop_area_fraction must be in (0, 1]")
-        if self.pooling not in ("sum", "max"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.bbox_enlarge_factor < 1.0:
-            raise ValueError("bbox_enlarge_factor must be >= 1")
 
 
 def crop_rects(width: int, height: int, fraction: float) -> list:
@@ -165,6 +159,5 @@ def augment_training_set(binding, samples, plans, labels):
             requests.append((rep_id, image, plan))
             out_labels[rep_id] = labels[sid]
     rows = binding.extract_batch(requests)
-    normalized = np.stack([l2_normalize(r) for r in rows])
     ids = tuple(rep_id for rep_id, _, _ in requests)
-    return FeatureMatrix(ids, normalized), out_labels
+    return FeatureMatrix(ids, preprocess._unit_rows(rows)), out_labels

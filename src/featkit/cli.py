@@ -22,6 +22,8 @@ from .extractors import (
     ExternalProcessExtractor,
     FileBackedExtractor,
     ToyPixelExtractor,
+    TransformPlan,
+    serialize_plan,
 )
 from .features import (
     FeatureMatrix,
@@ -455,16 +457,16 @@ def _cmd_plans(args) -> int:
         plans = augment.negative_expansion_plans(w, h)
     elif args.kind == "crops":
         plans = [
-            augment.TransformPlan(crop=r)
+            TransformPlan(crop=r)
             for r in augment.crop_rects(w, h, args.fraction)
         ]
     else:
         plans = [
-            augment.TransformPlan(crop=r)
+            TransformPlan(crop=r)
             for r in retrieval.patch_grid(w, h, args.level)
         ]
     lines = [
-        f"{k}\t{augment.serialize_plan(p, w, h)}"
+        f"{k}\t{serialize_plan(p, w, h)}"
         for k, p in enumerate(plans)
     ]
     text = "\n".join(lines) + "\n"

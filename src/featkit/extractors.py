@@ -1,10 +1,10 @@
 """Pluggable feature-extraction boundary.
 
-Every binding takes a batch of requests through one entry point,
-``extract_batch(requests) -> ndarray``: each request is a
-``(rep_id, image, TransformPlan)`` tuple and yields one row, in request
-order.  ``extract`` is a one-request call to it, and ``image_size`` gives
-the geometry callers plan against.
+Every binding has two methods.  ``extract_batch(requests) -> ndarray``
+is its one entry point: each request is a ``(rep_id, image,
+TransformPlan)`` tuple and yields one row, in request order; an empty
+batch is a ``ValueError``.  ``image_size(image)`` gives the geometry
+callers plan against (None when the binding has none).
 
 * :class:`ToyPixelExtractor` pools a region of a :class:`PixelGrid` into a
   g x g grid of mean cell intensities (dimension g**2).
@@ -34,12 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ExtractorFailure, ProtocolViolation, UnknownId
-from .features import (
-    FeatureMatrix,
-    PixelGrid,
-    Rect,
-    smallest_enclosing_square,
-)
+from .features import FeatureMatrix, PixelGrid, Rect
 
 
 @dataclass(frozen=True)
@@ -57,14 +52,6 @@ class TransformPlan:
     def __post_init__(self):
         if not -180.0 < self.rotation_degrees <= 180.0:
             raise ValueError("rotation must lie in (-180, 180] degrees")
-
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.crop is None
-            and self.rotation_degrees == 0.0
-            and not self.mirrored
-        )
 
     def mirror_toggled(self) -> "TransformPlan":
         return replace(self, mirrored=not self.mirrored)
@@ -130,27 +117,12 @@ class ToyPixelExtractor:
             raise ValueError("grid_cells must be at least 1")
         self.grid_cells = grid_cells
 
-    @property
-    def dim(self) -> int:
-        return self.grid_cells * self.grid_cells
-
     def image_size(self, image) -> tuple:
         if not isinstance(image, PixelGrid):
             raise ExtractorFailure(
                 "toy extractor requires a PixelGrid image"
             )
         return image.width, image.height
-
-    def extract(self, image: PixelGrid, region: Rect | None = None, *,
-                square_mode: bool = False, rotation_degrees: float = 0.0,
-                mirrored: bool = False) -> np.ndarray:
-        if square_mode:
-            w, h = self.image_size(image)
-            region = smallest_enclosing_square(
-                region if region is not None else image.full_rect(), w, h
-            )
-        plan = TransformPlan(region, rotation_degrees, mirrored)
-        return self.extract_batch([("", image, plan)])[0]
 
     def extract_batch(self, requests) -> np.ndarray:
         reqs = _batch(requests)
@@ -180,22 +152,9 @@ class FileBackedExtractor:
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
     def image_size(self, image) -> None:
         """None: vectors are keyed by id, so there is no geometry."""
         return None
-
-    def extract(self, image, region: Rect | None = None, *,
-                square_mode: bool = False, rotation_degrees: float = 0.0,
-                mirrored: bool = False) -> np.ndarray:
-        if not isinstance(image, str):
-            raise ExtractorFailure(
-                "file-backed extractor requires a representation id"
-            )
-        return self.extract_batch([(image, None, TransformPlan())])[0]
 
     def extract_batch(self, requests) -> np.ndarray:
         rows = []
@@ -227,27 +186,6 @@ class ExternalProcessExtractor:
                 "external extraction needs (path, width, height) images"
             )
         return image[1:]
-
-    def extract(self, image, region: Rect | None = None, *,
-                square_mode: bool = False, rotation_degrees: float = 0.0,
-                mirrored: bool = False, width: int | None = None,
-                height: int | None = None) -> np.ndarray:
-        if not isinstance(image, str):
-            raise ExtractorFailure(
-                "external extractor requires an image path"
-            )
-        sized = width is not None and height is not None
-        if (region is None or square_mode) and not sized:
-            raise ExtractorFailure(
-                "external extraction of the full image or in square_mode "
-                "needs explicit dimensions"
-            )
-        if square_mode:
-            region = smallest_enclosing_square(
-                region or Rect(0, 0, width, height), width, height
-            )
-        plan = TransformPlan(region, rotation_degrees, mirrored)
-        return self.extract_batch([("r0", (image, width, height), plan)])[0]
 
     def extract_batch(self, requests) -> np.ndarray:
         wire = [

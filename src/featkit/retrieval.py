@@ -65,6 +65,9 @@ class ReferenceEntry:
         v = np.ascontiguousarray(self.vectors, dtype=np.float32)
         if v.ndim != 2 or v.shape[0] < 1:
             raise ValueError("entry needs at least one patch vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"entry {self.ref_id!r} has a non-finite "
+                             "patch vector")
         if self.rects and len(self.rects) != v.shape[0]:
             raise ValueError("rect count does not match patch count")
         object.__setattr__(self, "rects", tuple(self.rects))

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from conftest import stub_command
 from featkit.augment import (
     AugmentConfig,
-    TransformPlan,
     augment_training_set,
     augmentation_plans,
     crop_rects,
@@ -16,15 +15,17 @@ from featkit.augment import (
     pool_responses,
     positive_mirror_plans,
     quadrant_rects,
-    serialize_plan,
 )
 from featkit.errors import DegenerateImage, EmptyInput, UnknownId
 from featkit.extractors import (
     ExternalProcessExtractor,
     FileBackedExtractor,
     ToyPixelExtractor,
+    TransformPlan,
+    serialize_plan,
 )
 from featkit.features import FeatureMatrix, PixelGrid, Rect
+from featkit.preprocess import l2_normalize
 
 sizes = st.integers(8, 400)
 
@@ -78,7 +79,7 @@ class TestAugmentationPlans:
         assert sum(p.mirrored for p in plans) == 8
 
     def test_first_plan_is_identity(self):
-        assert augmentation_plans(64, 64)[0].is_identity
+        assert augmentation_plans(64, 64)[0] == TransformPlan()
 
     def test_mirror_block_matches_base_block(self):
         plans = augmentation_plans(100, 60)
@@ -101,7 +102,7 @@ class TestPositiveAndNegativePlans:
     def test_positive_pair(self):
         plans = positive_mirror_plans()
         assert len(plans) == 2
-        assert plans[0].is_identity
+        assert plans[0] == TransformPlan()
         assert plans[1] == TransformPlan(mirrored=True)
 
     def test_negative_count_and_layout(self):
@@ -214,6 +215,22 @@ class TestAugmentTrainingSet:
         assert out_labels["img1#7"] == "pos"
         norms = np.linalg.norm(matrix.values, axis=1)
         assert np.abs(norms - 1.0).max() <= 1e-12
+
+    def test_rows_equal_per_row_normalize(self, rng):
+        # one stacked normalization gives each row the bits of
+        # l2_normalize on that row alone, so OTSVM1 output is unchanged
+        for d in (12, 128, 512):
+            store = FeatureMatrix(
+                tuple(f"s{i}#{k}" for i in range(40) for k in range(2)),
+                rng.normal(size=(80, d)) * rng.uniform(0.1, 50.0),
+            )
+            samples = [(f"s{i}", None) for i in range(40)]
+            matrix, _ = augment_training_set(
+                FileBackedExtractor(store), samples, positive_mirror_plans(),
+                {sid: "a" for sid, _ in samples},
+            )
+            per_row = np.stack([l2_normalize(r) for r in store.values])
+            assert np.array_equal(matrix.values, per_row)
 
     def test_file_backed_keys(self, rng):
         plans = positive_mirror_plans()

@@ -30,12 +30,29 @@ from featkit.features import (
 )
 
 
+def _one(binding, image, plan=TransformPlan(), rep_id="r0"):
+    """The row of a one-request batch."""
+    return binding.extract_batch([(rep_id, image, plan)])[0]
+
+
+def _lookup(binding, rep_id):
+    return _one(binding, None, rep_id=rep_id)
+
+
+@pytest.mark.parametrize("binding", [
+    ToyPixelExtractor, FileBackedExtractor, ExternalProcessExtractor,
+])
+def test_binding_surface_is_image_size_and_extract_batch(binding):
+    public = {name for name in vars(binding) if not name.startswith("_")}
+    assert public == {"extract_batch", "image_size"}
+
+
 class TestToyPixel:
     def test_uniform_image(self):
         grid = PixelGrid(np.full((10, 10), 0.5))
         toy = ToyPixelExtractor(2)
         assert np.array_equal(
-            toy.extract(grid), [0.5, 0.5, 0.5, 0.5]
+            _one(toy, grid), [0.5, 0.5, 0.5, 0.5]
         )
 
     def test_g1_is_region_mean(self, rng):
@@ -43,43 +60,45 @@ class TestToyPixel:
         toy = ToyPixelExtractor(1)
         region = Rect(3, 2, 5, 7)
         expected = grid.intensities[2:9, 3:8].mean()
-        assert toy.extract(grid, region)[0] == pytest.approx(expected)
+        assert _one(toy, grid, TransformPlan(region))[0] == pytest.approx(
+            expected)
 
     def test_output_dim_and_range(self, rng):
         grid = PixelGrid(rng.random((20, 20)))
         for g in (1, 2, 3, 5):
-            vec = ToyPixelExtractor(g).extract(grid)
+            vec = _one(ToyPixelExtractor(g), grid)
             assert vec.shape == (g * g,)
             assert vec.min() >= 0.0 and vec.max() <= 1.0
 
     def test_quadrant_means(self):
         pix = np.zeros((2, 2))
         pix[0, 1] = 1.0
-        vec = ToyPixelExtractor(2).extract(PixelGrid(pix))
+        vec = _one(ToyPixelExtractor(2), PixelGrid(pix))
         assert np.array_equal(vec, [0.0, 1.0, 0.0, 0.0])
 
     def test_mirror_flips_columns(self, rng):
         grid = PixelGrid(rng.random((8, 8)))
         toy = ToyPixelExtractor(2)
-        plain = toy.extract(grid)
-        flipped = toy.extract(grid, mirrored=True)
+        plain = _one(toy, grid)
+        flipped = _one(toy, grid, TransformPlan(mirrored=True))
         assert np.allclose(plain.reshape(2, 2)[:, ::-1].ravel(), flipped)
 
     def test_region_out_of_bounds(self, rng):
         grid = PixelGrid(rng.random((8, 8)))
         with pytest.raises(RegionOutOfBounds):
-            ToyPixelExtractor(2).extract(grid, Rect(5, 5, 4, 4))
+            _one(ToyPixelExtractor(2), grid, TransformPlan(Rect(5, 5, 4, 4)))
 
     def test_square_mode_expands_region(self, rng):
         grid = PixelGrid(rng.random((40, 40)))
         toy = ToyPixelExtractor(2)
-        squared = toy.extract(grid, Rect(10, 10, 4, 12), square_mode=True)
-        by_hand = toy.extract(grid, Rect(6, 10, 12, 12))
+        square = smallest_enclosing_square(Rect(10, 10, 4, 12), 40, 40)
+        squared = _one(toy, grid, TransformPlan(crop=square))
+        by_hand = _one(toy, grid, TransformPlan(Rect(6, 10, 12, 12)))
         assert np.array_equal(squared, by_hand)
 
     def test_tiny_region_stays_finite(self, rng):
         grid = PixelGrid(rng.random((6, 6)))
-        vec = ToyPixelExtractor(4).extract(grid, Rect(0, 0, 2, 2))
+        vec = _one(ToyPixelExtractor(4), grid, TransformPlan(Rect(0, 0, 2, 2)))
         assert np.all(np.isfinite(vec))
 
     def test_rotation_preserves_shape_and_range(self, rng):
@@ -101,15 +120,15 @@ class TestToyPixel:
 class TestFileBacked:
     def test_lookup_is_pure(self, random_matrix):
         binding = FileBackedExtractor(random_matrix())
-        a = binding.extract("v1")
-        b = binding.extract("v1")
+        a = _lookup(binding, "v1")
+        b = _lookup(binding, "v1")
         assert np.array_equal(a, b)
         a[0] = 123.0  # mutating the copy must not leak back
-        assert binding.extract("v1")[0] != 123.0
+        assert _lookup(binding, "v1")[0] != 123.0
 
     def test_unknown_id(self, random_matrix):
         with pytest.raises(UnknownId):
-            FileBackedExtractor(random_matrix()).extract("missing")
+            _lookup(FileBackedExtractor(random_matrix()), "missing")
 
 
 class TestExternalProtocol:
@@ -151,9 +170,9 @@ class TestExternalProtocol:
 
     def test_single_extract_with_geometry_suffix(self):
         binding = ExternalProcessExtractor(stub_command("derive"))
-        plain = binding.extract("img", Rect(0, 0, 8, 8))
-        rotated = binding.extract(
-            "img", Rect(0, 0, 8, 8), rotation_degrees=20.0
+        plain = _one(binding, ("img", 8, 8), TransformPlan(Rect(0, 0, 8, 8)))
+        rotated = _one(
+            binding, ("img", 8, 8), TransformPlan(Rect(0, 0, 8, 8), 20.0)
         )
         assert plain.shape == rotated.shape == (4,)
         assert not np.array_equal(plain, rotated)
@@ -167,10 +186,10 @@ class TestExternalProtocol:
 
 
 def test_module_level_extract_dispatch(random_matrix):
-    binding = FileBackedExtractor(random_matrix())
+    matrix = random_matrix()
+    binding = FileBackedExtractor(matrix)
     assert np.array_equal(
-        binding.extract("v0"),
-        binding.extract_batch([("v0", None, TransformPlan())])[0],
+        _lookup(binding, "v0"), matrix.values[matrix.index_of("v0")]
     )
 
 
@@ -287,14 +306,8 @@ class TestExtractBatch:
         grid = PixelGrid(rng.random((20, 24)))
         toy = ToyPixelExtractor(3)
         rows = toy.extract_batch(_toy_requests(grid))
-        single = [
-            toy.extract(grid),
-            toy.extract(grid, rotation_degrees=20.0),
-            toy.extract(grid, mirrored=True),
-            toy.extract(grid, Rect(1, 3, 9, 6), rotation_degrees=-20.0,
-                        mirrored=True),
-            toy.extract(grid, Rect(2, 5, 4, 11), square_mode=True),
-        ]
+        single = [_one(toy, grid, plan)
+                  for _, _, plan in _toy_requests(grid)]
         assert rows.shape == (5, 9)
         assert np.array_equal(rows, np.stack(single))
 
@@ -303,10 +316,10 @@ class TestExtractBatch:
         ids = ["v3", "v0", "v3", "v4"]
         rows = binding.extract_batch([(i, None, TransformPlan()) for i in ids])
         assert np.array_equal(
-            rows, np.stack([binding.extract(i) for i in ids])
+            rows, np.stack([_lookup(binding, i) for i in ids])
         )
         rows[0, 0] = 123.0  # the batch is a copy too
-        assert binding.extract("v3")[0] != 123.0
+        assert _lookup(binding, "v3")[0] != 123.0
 
     def test_file_backed_names_missing_id(self, random_matrix):
         binding = FileBackedExtractor(random_matrix())
@@ -325,12 +338,7 @@ class TestExtractBatch:
             [(f"r{k}", ("img", 16, 12), p) for k, p in enumerate(plans)]
         )
         assert len(popen_starts) == 1
-        single = [
-            binding.extract("img", p.crop, width=16, height=12,
-                            rotation_degrees=p.rotation_degrees,
-                            mirrored=p.mirrored)
-            for p in plans
-        ]
+        single = [_one(binding, ("img", 16, 12), p) for p in plans]
         assert np.array_equal(rows, np.stack(single))
 
     def test_external_needs_sized_images(self):

@@ -575,3 +575,26 @@ class TestOtidx1Fixture:
         p = tmp_path / "again.idx"
         save_index(load_index(DATA / "otidx1_small.idx"), p)
         assert p.read_bytes() == (DATA / "otidx1_small.idx").read_bytes()
+
+    def test_non_finite_vector_rejected_by_library_and_cli(self, tmp_path,
+                                                           capsys):
+        from featkit.cli import main as cli_main
+
+        blob = bytearray((DATA / "otidx1_small.idx").read_bytes())
+        blob[-4:] = np.float32(np.nan).astype("<f4").tobytes()
+        bad = tmp_path / "nan.idx"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(MalformedFile, match="non-finite"):
+            load_index(bad)
+
+        manifest = tmp_path / "queries.tsv"
+        manifest.write_text("q0\tx\nq1\tx\nq2\tx\n")
+        out = tmp_path / "ranking.tsv"
+        assert cli_main([
+            "query", "--index", str(bad), "--queries", str(manifest),
+            "--extractor", "file",
+            "--features", str(DATA / "otidx1_small_queries.tsv"),
+            "--top-k", "4", "--out", str(out),
+        ]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
