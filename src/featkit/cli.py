@@ -17,7 +17,12 @@ import warnings
 import numpy as np
 
 from . import augment, metrics, retrieval, svm
-from .errors import DimMismatch, FeatkitError, SkippedClassWarning
+from .errors import (
+    DimMismatch,
+    FeatkitError,
+    MalformedFile,
+    SkippedClassWarning,
+)
 from .extractors import (
     ExternalProcessExtractor,
     FileBackedExtractor,
@@ -27,6 +32,7 @@ from .extractors import (
 )
 from .features import (
     FeatureMatrix,
+    _tsv_records,
     fmt_float,
     load_features,
     load_labels,
@@ -64,28 +70,25 @@ def _write_text(path, text: str) -> None:
 def _load_manifest(path):
     rows = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 4) or not parts[0]:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'id<TAB>path"
-                    "[<TAB>width<TAB>height]'"
-                )
-            if parts[0] in seen:
-                raise ValueError(f"{path}:{lineno}: duplicate id {parts[0]!r}")
-            seen.add(parts[0])
-            if len(parts) == 4:
-                rows.append(
-                    (parts[0], parts[1], int(parts[2]), int(parts[3]))
-                )
-            else:
-                rows.append((parts[0], parts[1], None, None))
-    if not rows:
-        raise ValueError(f"{path}: empty manifest")
+    for lineno, parts in _tsv_records(path, "manifest"):
+        if len(parts) not in (2, 4) or not parts[0]:
+            raise MalformedFile(
+                f"{path}:{lineno}: expected 'id<TAB>path"
+                "[<TAB>width<TAB>height]'"
+            )
+        if parts[0] in seen:
+            raise MalformedFile(
+                f"{path}:{lineno}: duplicate id {parts[0]!r}"
+            )
+        seen.add(parts[0])
+        if len(parts) == 4:
+            try:
+                size = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+        else:
+            size = None, None
+        rows.append((parts[0], parts[1], *size))
     return rows
 
 
@@ -215,41 +218,39 @@ def _cmd_predict(args) -> int:
 
 
 def _read_scores(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty score file")
-    header = lines[0].split("\t")
+    records = _tsv_records(path, "score file")
+    lineno, header = next(records)
     if header[0] != "id" or len(header) < 2:
-        raise ValueError(f"{path}: expected 'id<TAB>class...' header")
-    classes = header[1:]
+        raise MalformedFile(
+            f"{path}:{lineno}: expected 'id<TAB>class...' header"
+        )
     ids, rows = [], []
-    for line in lines[1:]:
-        parts = line.split("\t")
+    for lineno, parts in records:
         if len(parts) != len(header):
-            raise ValueError(f"{path}: ragged score row")
+            raise MalformedFile(
+                f"{path}:{lineno}: ragged score row "
+                f"({len(parts)} != {len(header)} fields)"
+            )
+        try:
+            rows.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
         ids.append(parts[0])
-        rows.append([float(v) for v in parts[1:]])
     if not ids:
-        raise ValueError(f"{path}: no score rows")
-    return classes, ids, np.asarray(rows)
+        raise MalformedFile(f"{path}: no score rows")
+    return header[1:], ids, np.asarray(rows)
 
 
 def _read_predictions(path):
     preds = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'id<TAB>label'")
-            if parts[0] in preds:
-                raise ValueError(f"{path}:{lineno}: duplicate id")
-            preds[parts[0]] = parts[1]
-    if not preds:
-        raise ValueError(f"{path}: empty prediction file")
+    for lineno, parts in _tsv_records(path, "prediction file"):
+        if len(parts) != 2:
+            raise MalformedFile(f"{path}:{lineno}: expected 'id<TAB>label'")
+        if parts[0] in preds:
+            raise MalformedFile(
+                f"{path}:{lineno}: duplicate id {parts[0]!r}"
+            )
+        preds[parts[0]] = parts[1]
     return preds
 
 
@@ -293,7 +294,7 @@ def _cmd_evaluate(args) -> int:
         summary_rows.append(("accuracy", metrics.mean_diag_accuracy(m)))
     else:
         rankings = _read_ranking(args.ranking)
-        relevant = _read_relevant(args.relevant)
+        relevant = load_labels(args.relevant)
         _require_same_ids(rankings, relevant, "ranking/relevant")
         vals = []
         for qid in rankings:
@@ -317,41 +318,20 @@ def _cmd_evaluate(args) -> int:
 
 def _read_ranking(path):
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(
-                    f"{path}:{lineno}: expected "
-                    "'query<TAB>rank<TAB>ref<TAB>distance'"
-                )
-            out.setdefault(parts[0], []).append((int(parts[1]), parts[2]))
-    if not out:
-        raise ValueError(f"{path}: empty ranking file")
+    for lineno, parts in _tsv_records(path, "ranking file"):
+        if len(parts) != 4:
+            raise MalformedFile(
+                f"{path}:{lineno}: expected "
+                "'query<TAB>rank<TAB>ref<TAB>distance'"
+            )
+        try:
+            rank = int(parts[1])
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+        out.setdefault(parts[0], []).append((rank, parts[2]))
     return {
         q: [ref for _, ref in sorted(rows)] for q, rows in out.items()
     }
-
-
-def _read_relevant(path):
-    out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'query<TAB>relevant_id'"
-                )
-            out.setdefault(parts[0], set()).add(parts[1])
-    if not out:
-        raise ValueError(f"{path}: empty relevant file")
-    return out
 
 
 def _make_binding(args, need_dim: int | None = None):

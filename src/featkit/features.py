@@ -159,9 +159,6 @@ class FeatureMatrix:
             )
             return self._index[feature_id]
 
-    def row(self, feature_id: str) -> np.ndarray:
-        return self.values[self.index_of(feature_id)].copy()
-
 
 def load_features(path, fmt: str = "tsv") -> FeatureMatrix:
     """Read a feature matrix from ``path`` in ``tsv`` or ``binary`` format."""
@@ -196,31 +193,42 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "tsv") -> None:
         raise ValueError(f"unknown feature format {fmt!r}")
 
 
-def _load_tsv(path) -> FeatureMatrix:
-    ids, rows = [], []
-    dim = None
+def _tsv_records(path, what):
+    """Yield ``(lineno, fields)`` for each line of a UTF-8 tab-separated
+    text file that is non-empty once ``\\n`` and ``\\r`` are stripped.
+
+    ``lineno`` counts from 1 and includes skipped empty lines.  A file
+    with no such line raises :class:`MalformedFile` naming ``what``.
+    """
+    empty = True
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise MalformedFile(f"{path}:{lineno}: expected id and values")
-            try:
-                row = [float(p) for p in parts[1:]]
-            except ValueError as exc:
-                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-            if dim is None:
-                dim = len(row)
-            elif len(row) != dim:
-                raise MalformedFile(
-                    f"{path}:{lineno}: ragged row ({len(row)} != {dim})"
-                )
-            ids.append(parts[0])
-            rows.append(row)
-    if not rows:
-        raise MalformedFile(f"{path}: empty feature file")
+            if line:
+                empty = False
+                yield lineno, line.split("\t")
+    if empty:
+        raise MalformedFile(f"{path}: empty {what}")
+
+
+def _load_tsv(path) -> FeatureMatrix:
+    ids, rows = [], []
+    dim = None
+    for lineno, parts in _tsv_records(path, "feature file"):
+        if len(parts) < 2:
+            raise MalformedFile(f"{path}:{lineno}: expected id and values")
+        try:
+            row = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+        if dim is None:
+            dim = len(row)
+        elif len(row) != dim:
+            raise MalformedFile(
+                f"{path}:{lineno}: ragged row ({len(row)} != {dim})"
+            )
+        ids.append(parts[0])
+        rows.append(row)
     return _build_matrix(path, ids, np.asarray(rows, dtype=np.float64))
 
 
@@ -266,19 +274,10 @@ def _build_matrix(path, ids, values) -> FeatureMatrix:
 def load_labels(path) -> dict:
     """Read ``id<TAB>label`` lines into an id -> set-of-labels mapping."""
     labels: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise MalformedFile(
-                    f"{path}:{lineno}: expected 'id<TAB>label'"
-                )
-            labels.setdefault(parts[0], set()).add(parts[1])
-    if not labels:
-        raise MalformedFile(f"{path}: empty label file")
+    for lineno, parts in _tsv_records(path, "label file"):
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise MalformedFile(f"{path}:{lineno}: expected 'id<TAB>label'")
+        labels.setdefault(parts[0], set()).add(parts[1])
     return labels
 
 

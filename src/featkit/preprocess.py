@@ -45,12 +45,6 @@ def l2_normalize(v) -> np.ndarray:
     return _unit_rows(a.reshape(1, -1)).reshape(a.shape)
 
 
-def l2_normalize_rows(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    return a / np.where(norms == 0.0, 1.0, norms)
-
-
 def signed_power(v, p: float) -> np.ndarray:
     """Component-wise sign(x) * |x|**p; p=1 is the identity."""
     if p <= 0:
@@ -137,9 +131,8 @@ def pca_fit(x, k: int, epsilon: float = 1e-10) -> PcaWhitenModel:
     order = np.argsort(evals)[::-1][:k]
     eigs = np.clip(evals[order], 0.0, None)
     comps = evecs[:, order].T.copy()
-    for row in comps:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
+    peaks = comps[np.arange(comps.shape[0]), np.argmax(np.abs(comps), axis=1)]
+    comps[peaks < 0] *= -1.0
     usable = int(np.count_nonzero(eigs > epsilon))
     if usable < k:
         if usable == 0:
@@ -198,7 +191,9 @@ def pca_whiten_apply(model: PcaWhitenModel, v, block: int = 1
 
 def retrieval_pipeline_fit(x, cfg: PipelineConfig = PipelineConfig()
                            ) -> PcaWhitenModel:
-    """Fit the chain's basis on the L2-normalized rows of ``x``.
+    """Fit the chain's basis on the rows of ``x`` scaled to unit length,
+    by the same :func:`_unit_rows` that :func:`retrieval_pipeline_apply`
+    scales its input with.
 
     ``cfg.pca_dim`` is clamped to min(n - 1, d) with a warning, so small
     corpora still fit.
@@ -214,7 +209,7 @@ def retrieval_pipeline_fit(x, cfg: PipelineConfig = PipelineConfig()
             ClampedDimensionWarning,
             stacklevel=2,
         )
-    return pca_fit(l2_normalize_rows(a), k, cfg.epsilon)
+    return pca_fit(_unit_rows(a), k, cfg.epsilon)
 
 
 def retrieval_pipeline_apply(model: PcaWhitenModel, cfg: PipelineConfig,

@@ -582,7 +582,9 @@ class TestPreprocessCommands:
         cfg = PipelineConfig(4, 2.0, model.epsilon)
         for fid, row in zip(matrix.ids, matrix.values):
             direct = retrieval_pipeline_apply(model, cfg, row)
-            assert np.array_equal(processed.row(fid), direct)
+            assert np.array_equal(
+                processed.values[processed.index_of(fid)], direct
+            )
 
 
 class TestPlans:
@@ -633,6 +635,50 @@ def test_internal_error_exits_3(monkeypatch, tmp_path):
         lambda self, argv=None: args,
     )
     assert cli_mod.main(["plans", "--width", "4", "--height", "4"]) == 3
+
+
+_TRAIN = ("train", "--features", "feats.tsv", "--labels", "labels.tsv",
+          "--strategy", "ovo", "--C", "1", "--model-out", "model.tsvm")
+_RECALL = ("evaluate", "recall", "--ranking", "rank.tsv",
+           "--relevant", "rel.tsv", "--k", "1", "--out", "eval.tsv")
+_VALID_INPUTS = {
+    "feats.tsv": "a\t1.0\t2.0\nb\t3.0\t4.0\n",
+    "labels.tsv": "a\tx\nb\ty\n",
+    "rank.tsv": "q1\t1\tr1\t0.1\n",
+    "rel.tsv": "q1\tr1\n",
+}
+
+
+@pytest.mark.parametrize("argv, name, text, lineno", [
+    pytest.param(_RECALL, "rank.tsv", "q1\t1\tr1\t0.1\n\nq1\tx\tr2\t0.2\n",
+                 3, id="ranking-rank-not-int"),
+    pytest.param(("evaluate", "ap", "--scores", "scores.tsv", "--truth",
+                  "labels.tsv", "--out", "eval.tsv"),
+                 "scores.tsv", "id\tx\ty\na\t0.1\t0.2\nb\t0.3\n", 3,
+                 id="scores-ragged-row"),
+    pytest.param(("evaluate", "accuracy", "--predictions", "preds.tsv",
+                  "--truth", "labels.tsv", "--out", "eval.tsv"),
+                 "preds.tsv", "a\tx\na\ty\n", 2,
+                 id="predictions-duplicate-id"),
+    pytest.param(_RECALL, "rel.tsv", "q1\tr1\nq1\t\n", 2,
+                 id="relevant-empty-id"),
+    pytest.param(("index", "--images", "refs.tsv", "--grid", "2",
+                  "--out", "corpus.idx"),
+                 "refs.tsv", "\nr0\ta.pgm\t5\n", 2, id="manifest-three-fields"),
+    pytest.param(_TRAIN, "labels.tsv", "a\tx\r\n\r\nb\r\n", 3,
+                 id="labels-one-field"),
+    pytest.param(_TRAIN, "feats.tsv", "a\t1.0\t2.0\nb\t3.0\n", 2,
+                 id="features-ragged-row"),
+])
+def test_malformed_line_exit_2_names_path_and_line(
+    tmp_path, capsys, argv, name, text, lineno
+):
+    for fname, content in {**_VALID_INPUTS, name: text}.items():
+        (tmp_path / fname).write_text(content, newline="")
+    # every argument with a dot names a file under tmp_path
+    args =[str(tmp_path / a) if "." in a else a for a in argv]
+    assert main(args) == 2
+    assert f"{tmp_path / name}:{lineno}: " in capsys.readouterr().err
 
 
 class TestDeterminism:

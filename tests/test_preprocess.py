@@ -12,6 +12,7 @@ from featkit.errors import (
 from featkit.preprocess import (
     PcaWhitenModel,
     PipelineConfig,
+    _unit_rows,
     dump_pca_model_text,
     l2_normalize,
     load_pca_model,
@@ -169,6 +170,12 @@ class TestRetrievalPipeline:
         b = pca_fit(x, 4, cfg.epsilon)
         assert np.abs(a.components - b.components).max() <= 1e-9
         assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12
+
+    def test_fit_mean_is_mean_of_unit_rows(self, rng):
+        # the basis is fitted on the rows the chain applies to
+        x = rng.normal(size=(200, 64))
+        model = retrieval_pipeline_fit(x, PipelineConfig(pca_dim=8))
+        assert np.array_equal(model.mean, _unit_rows(x).mean(axis=0))
 
     def test_scale_invariance_exact_on_pythagorean_input(self, rng):
         # [3, 4] has norm 5 and 7 * [3, 4] has norm 35, all exact in
