@@ -34,6 +34,7 @@ from .features import (
     FeatureMatrix,
     _tsv_records,
     fmt_float,
+    fmt_row,
     load_features,
     load_labels,
     load_pgm,
@@ -212,7 +213,7 @@ def _cmd_predict(args) -> int:
         header = ["id"] + [model.classes[ci] for ci in keys]
         lines.append("\t".join(header))
         for base, vals in pooled.items():
-            lines.append(base + "\t" + "\t".join(fmt_float(v) for v in vals))
+            lines.append(f"{base}\t{fmt_row(vals)}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -224,21 +225,24 @@ def _read_scores(path):
         raise MalformedFile(
             f"{path}:{lineno}: expected 'id<TAB>class...' header"
         )
-    ids, rows = [], []
+    rows = {}
     for lineno, parts in records:
         if len(parts) != len(header):
             raise MalformedFile(
                 f"{path}:{lineno}: ragged score row "
                 f"({len(parts)} != {len(header)} fields)"
             )
+        if parts[0] in rows:
+            raise MalformedFile(
+                f"{path}:{lineno}: duplicate id {parts[0]!r}"
+            )
         try:
-            rows.append([float(v) for v in parts[1:]])
+            rows[parts[0]] = [float(v) for v in parts[1:]]
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-        ids.append(parts[0])
-    if not ids:
+    if not rows:
         raise MalformedFile(f"{path}: no score rows")
-    return header[1:], ids, np.asarray(rows)
+    return header[1:], list(rows), np.asarray(list(rows.values()))
 
 
 def _read_predictions(path):

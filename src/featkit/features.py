@@ -29,6 +29,11 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def fmt_row(values) -> str:
+    """Tab-joined :func:`fmt_float` text of each value, in one pass."""
+    return "\t".join(map(repr, np.asarray(values, np.float64).tolist()))
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned pixel rectangle, top-left origin."""
@@ -180,8 +185,7 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "tsv") -> None:
     if fmt == "tsv":
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for fid, row in zip(matrix.ids, matrix.values):
-                cells = "\t".join(fmt_float(v) for v in row)
-                fh.write(f"{fid}\t{cells}\n")
+                fh.write(f"{fid}\t{fmt_row(row)}\n")
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(FVEC_MAGIC)
@@ -193,12 +197,13 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "tsv") -> None:
         raise ValueError(f"unknown feature format {fmt!r}")
 
 
-def _tsv_records(path, what):
+def _tsv_records(path, what, maxsplit=-1):
     """Yield ``(lineno, fields)`` for each line of a UTF-8 tab-separated
     text file that is non-empty once ``\\n`` and ``\\r`` are stripped.
 
-    ``lineno`` counts from 1 and includes skipped empty lines.  A file
-    with no such line raises :class:`MalformedFile` naming ``what``.
+    ``lineno`` counts from 1 and includes skipped empty lines; ``fields``
+    is the line split on tabs at most ``maxsplit`` times.  A file with no
+    such line raises :class:`MalformedFile` naming ``what``.
     """
     empty = True
     with open(path, "r", encoding="utf-8") as fh:
@@ -206,30 +211,62 @@ def _tsv_records(path, what):
             line = line.rstrip("\n").rstrip("\r")
             if line:
                 empty = False
-                yield lineno, line.split("\t")
+                yield lineno, line.split("\t", maxsplit)
     if empty:
         raise MalformedFile(f"{path}: empty {what}")
 
 
+# ASCII separators that numpy strips around a number as whitespace while
+# ``float()`` rejects them.
+_NUMPY_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
 def _load_tsv(path) -> FeatureMatrix:
-    ids, rows = [], []
-    dim = None
-    for lineno, parts in _tsv_records(path, "feature file"):
+    """Read TSV features; each value reads exactly as ``float()`` reads it.
+
+    One ``np.loadtxt`` call parses every row body; it rounds decimal text
+    as ``float()`` does.  When it rejects the bodies (a ragged row, a bad
+    value, or a spelling only ``float()`` takes, such as ``1_000``), or a
+    body holds text the two read differently, :func:`_float_rows` parses
+    them instead and raises the ``path:line`` error of a bad row.
+    """
+    ids, bodies, linenos = [], [], []
+    for lineno, parts in _tsv_records(path, "feature file", maxsplit=1):
         if len(parts) < 2:
+            _float_rows(path, bodies, linenos)  # an earlier bad row wins
             raise MalformedFile(f"{path}:{lineno}: expected id and values")
+        ids.append(parts[0])
+        bodies.append(parts[1])
+        linenos.append(lineno)
+    values = None
+    # loadtxt skips an empty body, where float("") fails.
+    if all(bodies) and not any(
+        c in body for body in bodies for c in _NUMPY_ONLY_SPACE
+    ):
         try:
-            row = [float(p) for p in parts[1:]]
+            values = np.loadtxt(bodies, delimiter="\t", comments=None,
+                                ndmin=2)
+        except ValueError:
+            pass
+    if values is None:
+        values = _float_rows(path, bodies, linenos)
+    return _build_matrix(path, ids, values)
+
+
+def _float_rows(path, bodies, linenos) -> np.ndarray:
+    """Parse tab-separated row bodies with one ``float()`` per value."""
+    rows = []
+    for body, lineno in zip(bodies, linenos):
+        try:
+            row = [float(p) for p in body.split("\t")]
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-        if dim is None:
-            dim = len(row)
-        elif len(row) != dim:
+        if rows and len(row) != len(rows[0]):
             raise MalformedFile(
-                f"{path}:{lineno}: ragged row ({len(row)} != {dim})"
+                f"{path}:{lineno}: ragged row ({len(row)} != {len(rows[0])})"
             )
-        ids.append(parts[0])
         rows.append(row)
-    return _build_matrix(path, ids, np.asarray(rows, dtype=np.float64))
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _load_binary(path) -> FeatureMatrix:

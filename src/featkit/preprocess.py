@@ -24,7 +24,7 @@ from .errors import (
     MalformedFile,
     RankDeficientWarning,
 )
-from .features import FeatureMatrix, fmt_float
+from .features import FeatureMatrix, fmt_float, fmt_row
 
 PCAW_MAGIC = "PCAW1"
 
@@ -238,10 +238,10 @@ def dump_pca_model_text(model: PcaWhitenModel) -> str:
     lines = [
         PCAW_MAGIC,
         f"{model.k}\t{model.dim_in}\t{fmt_float(model.epsilon)}",
-        "\t".join(fmt_float(v) for v in model.mean),
+        fmt_row(model.mean),
     ]
-    lines += ["\t".join(fmt_float(v) for v in row) for row in model.components]
-    lines.append("\t".join(fmt_float(v) for v in model.eigenvalues))
+    lines += [fmt_row(row) for row in model.components]
+    lines.append(fmt_row(model.eigenvalues))
     return "\n".join(lines) + "\n"
 
 

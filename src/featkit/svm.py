@@ -34,7 +34,7 @@ from .errors import (
     SingleClassData,
     SkippedClassWarning,
 )
-from .features import FeatureMatrix, fmt_float
+from .features import FeatureMatrix, fmt_float, fmt_row
 
 MODEL_MAGIC = "OTSVM1"
 
@@ -515,7 +515,8 @@ def save_model(model: MulticlassModel, path) -> None:
                 format_model_key(model.strategy, key),
                 fmt_float(m.C_used),
                 fmt_float(m.objective_value),
-            ] + [fmt_float(v) for v in m.w]
+                fmt_row(m.w),
+            ]
             fh.write("\t".join(fields) + "\n")
 
 

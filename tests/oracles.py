@@ -333,6 +333,44 @@ def ovo_vote_oracle(classes, pair_scores):
     return classes[ranked[0]]
 
 
+# --------------------------------------------------------------------
+# TSV feature parsing
+# --------------------------------------------------------------------
+
+
+def tsv_features_oracle(path):
+    """Read a TSV feature file line by line, one ``float()`` per value.
+
+    Returns ``(ids, rows)`` or raises ``MalformedFile`` with the text the
+    feature loader gives for the first bad line.
+    """
+    from featkit.errors import MalformedFile
+
+    ids, rows = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) < 2:
+                raise MalformedFile(f"{path}:{lineno}: expected id and values")
+            try:
+                row = [float(p) for p in parts[1:]]
+            except ValueError as exc:
+                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+            if rows and len(row) != len(rows[0]):
+                raise MalformedFile(
+                    f"{path}:{lineno}: ragged row "
+                    f"({len(row)} != {len(rows[0])})"
+                )
+            ids.append(parts[0])
+            rows.append(row)
+    if not ids:
+        raise MalformedFile(f"{path}: empty feature file")
+    return ids, rows
+
+
 def _regenerate() -> None:
     import time
     from pathlib import Path

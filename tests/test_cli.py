@@ -656,6 +656,10 @@ _VALID_INPUTS = {
                   "labels.tsv", "--out", "eval.tsv"),
                  "scores.tsv", "id\tx\ty\na\t0.1\t0.2\nb\t0.3\n", 3,
                  id="scores-ragged-row"),
+    pytest.param(("evaluate", "ap", "--scores", "scores.tsv", "--truth",
+                  "labels.tsv", "--out", "eval.tsv"),
+                 "scores.tsv", "id\tx\na\t0.9\na\t0.1\nb\t0.5\n", 3,
+                 id="scores-duplicate-id"),
     pytest.param(("evaluate", "accuracy", "--predictions", "preds.tsv",
                   "--truth", "labels.tsv", "--out", "eval.tsv"),
                  "preds.tsv", "a\tx\na\ty\n", 2,
@@ -669,6 +673,8 @@ _VALID_INPUTS = {
                  id="labels-one-field"),
     pytest.param(_TRAIN, "feats.tsv", "a\t1.0\t2.0\nb\t3.0\n", 2,
                  id="features-ragged-row"),
+    pytest.param(_TRAIN, "feats.tsv", "a\t1.0\t2.0\n\nb\t3.0\t1e\n", 3,
+                 id="features-non-numeric"),
 ])
 def test_malformed_line_exit_2_names_path_and_line(
     tmp_path, capsys, argv, name, text, lineno

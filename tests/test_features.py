@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from featkit import features
 from featkit.errors import EmptyInput, MalformedFile, RegionOutOfBounds
 from featkit.features import (
     FeatureMatrix,
     PixelGrid,
     Rect,
+    fmt_float,
+    fmt_row,
     load_features,
     load_labels,
     load_pgm,
@@ -17,7 +20,51 @@ from featkit.features import (
     single_labels,
     smallest_enclosing_square,
 )
-from oracles import smallest_square_oracle
+from oracles import smallest_square_oracle, tsv_features_oracle
+
+# Values float() reads and numpy does not, text neither reads (the empty
+# field included), and numbers padded with ASCII separators numpy strips
+# but float() rejects.
+_ODD_TOKENS = ["1_000", "\uff11", "\u0663.5", " 2.5", "2.5\xa0", "", " ",
+               "x", "1e", "0x1p3", "nan", "-inf", "1e400", "\x1c1", "1\x1f"]
+
+
+@st.composite
+def _tsv_feature_text(draw):
+    """A feature file mixing good rows with blank, id-only, ragged,
+    duplicate-id and odd-valued lines, with ``\\n`` or ``\\r\\n`` ends."""
+    dim = draw(st.integers(1, 4))
+    decimal = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    lines = []
+    for i in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(
+            ["row"] * 6 + ["blank", "id-only", "ragged", "dup", "odd"]
+        ))
+        width = dim
+        if kind == "ragged":
+            width = draw(st.sampled_from([dim - 1, dim + 1]) if dim > 1
+                         else st.just(2))
+        tokens = [draw(decimal) for _ in range(width)]
+        if kind == "odd":
+            tokens[draw(st.integers(0, dim - 1))] = draw(
+                st.sampled_from(_ODD_TOKENS))
+        fid = "r0" if kind == "dup" else f"r{i}"
+        line = {"blank": "", "id-only": fid}.get(
+            kind, "\t".join([fid] + tokens))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(lines)
+
+
+def _float_reader(path):
+    """The ids and value bytes the ``float()`` reader gives, or its error."""
+    try:
+        ids, rows = tsv_features_oracle(path)
+        m = FeatureMatrix(ids, rows)
+    except MalformedFile as exc:
+        return str(exc)
+    except ValueError as exc:
+        return f"{path}: {exc}"
+    return m.ids, m.values.tobytes()
 
 
 class TestFeatureMatrix:
@@ -84,6 +131,65 @@ class TestTsvFormat:
         assert np.abs(back.values - m.values).max() <= 1e-6
         # repr-based text keeps full precision, so it is in fact exact
         assert np.array_equal(back.values, m.values)
+
+    @given(_tsv_feature_text())
+    def test_reads_as_float_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "property.tsv"
+        p.write_text(text, encoding="utf-8", newline="")
+        want = _float_reader(p)
+        try:
+            m = load_features(p, "tsv")
+        except MalformedFile as exc:
+            assert str(exc) == want
+        else:
+            assert (m.ids, m.values.tobytes()) == want
+
+    @pytest.mark.parametrize("text, value", [
+        ("a\t1_000\n", 1000.0),
+        ("a\t\uff11\n", 1.0),
+        ("a\t 2.5\xa0\r\n", 2.5),
+    ])
+    def test_float_only_spellings_load(self, tmp_path, text, value):
+        p = tmp_path / "f.tsv"
+        p.write_text(text, encoding="utf-8", newline="")
+        assert load_features(p, "tsv").values.tolist() == [[value]]
+
+    # numpy skips an empty row and strips \x1c-\x1f; float() rejects both
+    @pytest.mark.parametrize("token", ["", "1\x1c", "\x1d1", "1\x1e", "\x1f1"])
+    def test_text_numpy_reads_differently_rejected(self, tmp_path, token):
+        p = tmp_path / "f.tsv"
+        p.write_text(f"a\t0.5\nb\t{token}\n", encoding="utf-8")
+        with pytest.raises(MalformedFile, match=f"{p}:2: could not convert"):
+            load_features(p, "tsv")
+
+    def test_bad_row_before_id_only_line_named(self, tmp_path):
+        p = tmp_path / "f.tsv"
+        p.write_text("a\t1.0\nb\tx\nc\n")
+        with pytest.raises(MalformedFile, match=f"{p}:2: could not convert"):
+            load_features(p, "tsv")
+
+    def test_well_formed_file_takes_one_call_path(
+        self, tmp_path, monkeypatch, random_matrix
+    ):
+        def fail(*args):
+            raise AssertionError("float() fallback taken")
+
+        m = random_matrix(n=40, d=7, float32=False)
+        p = tmp_path / "f.tsv"
+        save_features(m, p, "tsv")
+        p.write_bytes(p.read_bytes().replace(b"\n", b"\r\n\n"))
+        monkeypatch.setattr(features, "_float_rows", fail)
+        back = load_features(p, "tsv")
+        assert back.ids == m.ids
+        assert back.values.tobytes() == m.values.tobytes()
+
+    def test_fmt_row_is_fmt_float_per_value(self):
+        values = [0.1, -0.0, 5e-324, 1e300, 1 / 3, 2.0]
+        want = "\t".join(fmt_float(v) for v in values)
+        assert fmt_row(values) == want
+        assert fmt_row(np.asarray(values)) == want
+        f32 = np.asarray([0.1, -0.0, 1.1, 3e38], dtype=np.float32)
+        assert fmt_row(f32) == "\t".join(fmt_float(v) for v in f32)
 
 
 class TestBinaryFormat:
