@@ -170,23 +170,31 @@ def _augment_bias(xa: np.ndarray) -> np.ndarray:
     return np.hstack([xa, np.ones((xa.shape[0], 1))])
 
 
-def _primal_dual(xy, w, alpha, c):
+def _primal_dual(xa, ya, w, alpha, c):
     """Hinge objective of ``w`` and the dual ``sum(alpha) - 0.5|w|^2``."""
     ww = float(w @ w)
-    primal = 0.5 * ww + c * float(np.maximum(0.0, 1.0 - xy @ w).sum())
+    margins = ya * (xa @ w)
+    primal = 0.5 * ww + c * float(np.maximum(0.0, 1.0 - margins).sum())
     return primal, math.fsum(alpha) - 0.5 * ww
 
 
-def _free_set_step(xy, alpha, free, c):
+def _signed_rows(xa, ya, idx):
+    """Rows ``y_i x_i`` for the indices ``idx``, as a new array."""
+    out = xa[idx]
+    out *= ya[idx, None]
+    return out
+
+
+def _free_set_step(xa, ya, alpha, free, c):
     """Maximize the dual over the duals ``free``, holding the others.
 
-    With ``w_U = C * sum of xy_i over duals at C``, the free duals'
+    With ``w_U = C * sum of y_i x_i over duals at C``, the free duals'
     optimum solves ``(X_F X_F^T) a = 1 - X_F w_U``; ``lstsq`` gives the
     minimum-norm solution when ``X_F`` is rank deficient.  Returns the
     duals with ``a`` clipped to [0, C] and ``w = w_U + a X_F``.
     """
-    xf = xy[free]
-    w_u = c * xy[alpha >= c].sum(axis=0)
+    xf = _signed_rows(xa, ya, free)
+    w_u = c * _signed_rows(xa, ya, alpha >= c).sum(axis=0)
     a = np.linalg.lstsq(xf @ xf.T, 1.0 - xf @ w_u, rcond=None)[0]
     out = alpha.copy()
     out[free] = np.clip(a, 0.0, c)
@@ -232,11 +240,13 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     if cfg.bias:
         xa = _augment_bias(xa)
     n, cols = xa.shape
-    xy = xa * ya[:, None]
     # Python floats, prebuilt row views and ndarray.dot (no ufunc
-    # dispatch, same BLAS ddot as ``@``) keep the per-coordinate step cheap.
-    rows = list(xy)
-    qdiag = np.einsum("ij,ij->i", xy, xy).tolist()
+    # dispatch, same BLAS ddot as ``@``) keep the per-coordinate step
+    # cheap.  Labels are +-1, so y_i * (x_i . w) and (delta * y_i) * x_i
+    # have the bits of the same products over y_i x_i.
+    rows = list(xa)
+    ys = ya.tolist()
+    qdiag = np.einsum("ij,ij->i", xa, xa).tolist()
     c = float(cfg.C)
 
     w = np.zeros(cols)
@@ -253,7 +263,7 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
         kept = []
         for i in rng.permutation(active).tolist():
             row = rows[i]
-            g = float(row.dot(w)) - 1.0
+            g = ys[i] * float(row.dot(w)) - 1.0
             a = alpha[i]
             if a <= 0.0:
                 if g > pg_hi:
@@ -278,10 +288,10 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
                     new = c if g < 0.0 else 0.0
                 if new != a:
                     alpha[i] = new
-                    w += (new - a) * row
+                    w += (new - a) * ys[i] * row
         visits += len(active)
         active = np.array(kept, dtype=np.intp)
-        primal, dual = _primal_dual(xy, w, alpha, c)
+        primal, dual = _primal_dual(xa, ya, w, alpha, c)
         if primal - dual > cfg.tol * (1.0 + abs(primal)):
             # Once the free set has held for two epochs, solve it exactly;
             # each distinct set is tried once.
@@ -290,8 +300,8 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
             key = free.tobytes()
             if key == prev_free and key not in tried and 0 < free.size <= cols:
                 tried.add(key)
-                al, w_f = _free_set_step(xy, al, free, c)
-                p_f, d_f = _primal_dual(xy, w_f, al, c)
+                al, w_f = _free_set_step(xa, ya, al, free, c)
+                p_f, d_f = _primal_dual(xa, ya, w_f, al, c)
                 if d_f > dual:
                     alpha, w, primal, dual = al.tolist(), w_f, p_f, d_f
                     steps += 1

@@ -222,10 +222,10 @@ def step_calls(monkeypatch):
     calls = []
     real = svm._free_set_step
 
-    def recording(xy, alpha, free, c):
-        xf = xy[free]
+    def recording(xa, ya, alpha, free, c):
+        xf = xa[free]
         calls.append((free.size, int(np.linalg.matrix_rank(xf @ xf.T))))
-        return real(xy, alpha, free, c)
+        return real(xa, ya, alpha, free, c)
 
     monkeypatch.setattr(svm, "_free_set_step", recording)
     return calls
@@ -252,9 +252,9 @@ class TestFreeSetStep:
     def test_step_that_lowers_the_dual_rejected(self, monkeypatch):
         tried = []
 
-        def all_zero(xy, alpha, free, c):
+        def all_zero(xa, ya, alpha, free, c):
             tried.append(free.size)
-            return np.zeros_like(alpha), np.zeros(xy.shape[1])
+            return np.zeros_like(alpha), np.zeros(xa.shape[1])
 
         monkeypatch.setattr(svm, "_free_set_step", all_zero)
         m, _ = self._check(*_shrinking_instance(1, 0.2, False))
