@@ -38,6 +38,15 @@ from .features import FeatureMatrix, fmt_float, fmt_row
 
 MODEL_MAGIC = "OTSVM1"
 
+# A free-set step is tried only when its Gram product and Cholesky
+# factorization, 2|F|^2 cols + |F|^3 / 3 flops, are at most this many
+# times the flops of the epoch before it: 2 (visits + n) cols for the
+# coordinate products and the duality-gap product.  Sizes only, so the
+# choice is deterministic.
+STEP_FLOP_MULTIPLE = 32
+# Rows per block of the substitution in _cho_solve.
+_BLOCK = 64
+
 # Cross-validated trade-off presets, per dataset family.
 C_PRESETS = {
     "voc2007": 0.2,
@@ -71,13 +80,15 @@ class SolverConfig:
 class SolverStats:
     """How one binary solve ended: epochs run, coordinate visits (one
     dot product each), the final duality gap, whether the stop test
-    passed before ``max_epochs`` ran out, and the free-set steps kept."""
+    passed before ``max_epochs`` ran out, and the free-set steps kept
+    and tried."""
 
     epochs: int
     visits: int
     gap: float
     converged: bool
     free_set_steps: int = 0
+    free_set_tries: int = 0
 
 
 @dataclass(frozen=True)
@@ -185,20 +196,68 @@ def _signed_rows(xa, ya, idx):
     return out
 
 
-def _free_set_step(xa, ya, alpha, free, c):
-    """Maximize the dual over the duals ``free``, holding the others.
+def _cho_solve(low, r):
+    """Solve ``(low low^T) x = r`` for a lower-triangular ``low``.
 
-    With ``w_U = C * sum of y_i x_i over duals at C``, the free duals'
-    optimum solves ``(X_F X_F^T) a = 1 - X_F w_U``; ``lstsq`` gives the
-    minimum-norm solution when ``X_F`` is rank deficient.  Returns the
-    duals with ``a`` clipped to [0, C] and ``w = w_U + a X_F``.
+    numpy has no triangular solve, so each substitution pass takes
+    ``_BLOCK`` rows at a time: a small dense solve on the diagonal
+    block, then one matrix-vector product for the rows it feeds.
     """
-    xf = _signed_rows(xa, ya, free)
-    w_u = c * _signed_rows(xa, ya, alpha >= c).sum(axis=0)
-    a = np.linalg.lstsq(xf @ xf.T, 1.0 - xf @ w_u, rcond=None)[0]
-    out = alpha.copy()
-    out[free] = np.clip(a, 0.0, c)
-    return out, w_u + out[free] @ xf
+    x = r.copy()
+    starts = range(0, r.size, _BLOCK)
+    for s in starts:
+        e = s + _BLOCK
+        x[s:e] = np.linalg.solve(low[s:e, s:e], x[s:e])
+        if e < r.size:
+            x[e:] -= low[e:, s:e] @ x[s:e]
+    for s in reversed(starts):
+        e = s + _BLOCK
+        x[s:e] = np.linalg.solve(low[s:e, s:e].T, x[s:e])
+        if s:
+            x[:s] -= low[s:e, :s].T @ x[s:e]
+    return x
+
+
+def _free_set_step(z, alpha_f, w, c):
+    """Raise the dual along the free duals' clipped Newton direction.
+
+    ``z`` holds the signed rows ``y_i x_i`` of the free duals
+    ``alpha_f``; every other dual is held.  Identical rows enter the
+    dual only through their sum, so each set of them is one unknown,
+    split evenly among its members.  With ``Z`` the distinct rows and
+    ``s`` their dual sums, the free optimum is ``s + delta`` where
+    ``(Z Z^T) delta = 1 - Z w``, solved by Cholesky, or by ``lstsq``
+    when the Gram is not positive definite.  Clipping that point to the
+    box gives a direction ``d``; the step length
+    ``t = clip((sum d - w.dw) / |dw|^2, 0, 1)`` maximizes the concave
+    dual on the segment, so the dual never falls.  Returns the new free
+    duals and ``w``, or None when ``z`` has more distinct rows than
+    columns and the Gram must be singular.
+    """
+    seen = {}
+    keys = z.view(np.dtype((np.void, z.itemsize * z.shape[1]))).ravel()
+    owner = np.array([seen.setdefault(k, i)
+                      for i, k in enumerate(keys.tolist())])
+    if len(seen) > z.shape[1]:
+        return None
+    first = np.flatnonzero(owner == np.arange(owner.size))
+    inv = np.searchsorted(first, owner)
+    zd = z[first]
+    count = np.bincount(inv)
+    s = np.bincount(inv, weights=alpha_f)
+    gram = zd @ zd.T
+    r = 1.0 - zd @ w
+    try:
+        delta = _cho_solve(np.linalg.cholesky(gram), r)
+    except np.linalg.LinAlgError:
+        delta = np.linalg.lstsq(gram, r, rcond=None)[0]
+    target = np.clip((s + delta) / count, 0.0, c)
+    d = target[inv] - alpha_f
+    dw = (count * target - s) @ zd
+    num, dd = float(d.sum()) - float(w @ dw), float(dw @ dw)
+    t = 0.0 if num <= 0.0 else 1.0 if num >= dd else num / dd
+    new = target[inv] if t == 1.0 else np.clip(alpha_f + t * d, 0.0, c)
+    return new, w + t * dw
 
 
 def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
@@ -254,11 +313,12 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     rng = np.random.default_rng(cfg.seed)
     active = np.arange(n)
     pg_hi, pg_lo = math.inf, -math.inf
-    visits = steps = 0
+    visits = steps = tries = 0
     converged = False
-    prev_free, tried = None, set()
+    tried = set()
     for epochs in range(1, cfg.max_epochs + 1):
         full = len(active) == n
+        epoch_flops = 2 * (len(active) + n) * cols
         hi, lo = -math.inf, math.inf
         kept = []
         for i in rng.permutation(active).tolist():
@@ -293,22 +353,26 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
         active = np.array(kept, dtype=np.intp)
         primal, dual = _primal_dual(xa, ya, w, alpha, c)
         if primal - dual > cfg.tol * (1.0 + abs(primal)):
-            # Once the free set has held for two epochs, solve it exactly;
-            # each distinct set is tried once.
+            # Each distinct free set is tried once, within the budget.
             al = np.array(alpha)
             free = np.flatnonzero((al > 0.0) & (al < c))
             key = free.tobytes()
-            if key == prev_free and key not in tried and 0 < free.size <= cols:
+            f = free.size
+            if (f and key not in tried and 2 * f * f * cols + f**3 / 3
+                    <= STEP_FLOP_MULTIPLE * epoch_flops):
                 tried.add(key)
-                al, w_f = _free_set_step(xa, ya, al, free, c)
-                p_f, d_f = _primal_dual(xa, ya, w_f, al, c)
-                if d_f > dual:
-                    alpha, w, primal, dual = al.tolist(), w_f, p_f, d_f
-                    steps += 1
-                    # The epoch's projected gradients predate the step,
-                    # so they cannot end the solve.
-                    full = False
-            prev_free = key
+                step = _free_set_step(_signed_rows(xa, ya, free), al[free],
+                                      w, c)
+                if step is not None:
+                    tries += 1
+                    al[free], w_f = step
+                    p_f, d_f = _primal_dual(xa, ya, w_f, al, c)
+                    if d_f > dual:
+                        alpha, w, primal, dual = al.tolist(), w_f, p_f, d_f
+                        steps += 1
+                        # The epoch's projected gradients predate the
+                        # step, so they cannot end the solve.
+                        full = False
         gap = primal - dual
         if gap <= cfg.tol * (1.0 + abs(primal)):
             converged = True
@@ -336,7 +400,7 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     obj = objective(w, xa, ya, c)
     return BinaryModel(
         w=w, C_used=c, objective_value=obj, bias=cfg.bias,
-        stats=SolverStats(epochs, visits, gap, converged, steps),
+        stats=SolverStats(epochs, visits, gap, converged, steps, tries),
     )
 
 

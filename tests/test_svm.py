@@ -216,16 +216,20 @@ def _duplicated_rows(seed, d, c, bias, sep):
     )
 
 
+def _dual(alpha, z):
+    """The dual sum(alpha) - 0.5|w|^2 with w = alpha z, every dual free."""
+    return float(alpha.sum() - 0.5 * np.sum((alpha @ z) ** 2))
+
+
 @pytest.fixture
 def step_calls(monkeypatch):
     """(free set size, Gram rank) of every free-set step tried."""
     calls = []
     real = svm._free_set_step
 
-    def recording(xa, ya, alpha, free, c):
-        xf = xa[free]
-        calls.append((free.size, int(np.linalg.matrix_rank(xf @ xf.T))))
-        return real(xa, ya, alpha, free, c)
+    def recording(z, alpha_f, w, c):
+        calls.append((len(z), int(np.linalg.matrix_rank(z @ z.T))))
+        return real(z, alpha_f, w, c)
 
     monkeypatch.setattr(svm, "_free_set_step", recording)
     return calls
@@ -247,14 +251,15 @@ class TestFreeSetStep:
     @pytest.mark.parametrize("seed,case", enumerate(SHRINKING_CASES))
     def test_shrinking_instances(self, seed, case, step_calls):
         m, _ = self._check(*_shrinking_instance(seed, *case))
-        assert 1 <= m.stats.free_set_steps <= len(step_calls)
+        assert 1 <= m.stats.free_set_steps <= m.stats.free_set_tries
+        assert m.stats.free_set_tries <= len(step_calls)
 
     def test_step_that_lowers_the_dual_rejected(self, monkeypatch):
         tried = []
 
-        def all_zero(xa, ya, alpha, free, c):
-            tried.append(free.size)
-            return np.zeros_like(alpha), np.zeros(xa.shape[1])
+        def all_zero(z, alpha_f, w, c):
+            tried.append(len(z))
+            return np.zeros_like(alpha_f), w
 
         monkeypatch.setattr(svm, "_free_set_step", all_zero)
         m, _ = self._check(*_shrinking_instance(1, 0.2, False))
@@ -265,7 +270,8 @@ class TestFreeSetStep:
         x, y, cfg = _duplicated_rows(0, 64, 1.0, True, 1.0)
         m, _ = self._check(x, y, cfg)
         assert m.stats.free_set_steps >= 1
-        # Free duplicates make X_F X_F^T singular; lstsq still solves it.
+        # Free duplicates make X_F X_F^T singular; the step solves over
+        # the distinct rows.
         assert any(rank < size for size, rank in step_calls)
 
     def test_empty_free_set(self, step_calls):
@@ -279,16 +285,70 @@ class TestFreeSetStep:
         assert step_calls == []
         assert m.stats.free_set_steps == 0
 
-    def test_free_set_larger_than_columns_skipped(self, step_calls):
+    def test_duplicated_free_rows_beyond_columns_stepped(self, step_calls,
+                                                          monkeypatch):
         x, y, cfg = _duplicated_rows(0, 10, 10.0, True, 1.5)
         m, _ = self._check(x, y, cfg)
-        # More rows sit on the margin than there are columns (11), so
-        # the settled free set is too large for the step.
+        # More rows sit on the margin than there are columns (11), but
+        # each appears twice, so the free set has few enough distinct rows.
         xa = np.hstack([x, np.ones((80, 1))])
         on_margin = np.abs(y * (xa @ m.w) - 1.0) < 1e-6
         assert on_margin.sum() > xa.shape[1]
+        assert any(size > xa.shape[1] for size, _ in step_calls)
+        assert m.stats.free_set_steps >= 1
+        monkeypatch.setattr(svm, "STEP_FLOP_MULTIPLE", 0)
+        no_step = train_binary(x, y, cfg)
+        assert no_step.stats.free_set_tries == 0
+        assert m.stats.epochs < no_step.stats.epochs
+
+    def test_over_budget_free_set_not_tried(self, step_calls):
+        # 150 separable rows in 300 dimensions: about 130 end on the
+        # margin with free duals, and their Gram costs more than the
+        # budget allows after any epoch, even one that visits every row.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(150, 300))
+        y = np.where(rng.random(150) < 0.5, 1.0, -1.0)
+        m, _ = self._check(x, y, SolverConfig(C=1e3))
+        xa = np.hstack([x, np.ones((150, 1))])
+        f = int((np.abs(y * (xa @ m.w) - 1.0) < 1e-6).sum())
+        cols = xa.shape[1]
+        assert 2 * f * f * cols + f**3 / 3 > (
+            svm.STEP_FLOP_MULTIPLE * 2 * (150 + 150) * cols
+        )
         assert step_calls == []
-        assert m.stats.free_set_steps == 0
+        assert m.stats.free_set_tries == 0
+
+    def test_clipped_step_raises_the_dual(self):
+        # The free optimum (4, 13) lies outside the box [0, 1]^2.  Clipped
+        # to (1, 1) it has a lower dual than the start, but the dual rises
+        # along the first part of the segment towards it.
+        z = np.array([[1.0, -3.0], [0.0, 1.0]])
+        alpha = np.array([0.25, 0.75])
+        newton = np.linalg.solve(z @ z.T, np.ones(2))
+        assert np.allclose(newton, [4.0, 13.0])
+        assert _dual(np.clip(newton, 0.0, 1.0), z) < _dual(alpha, z)
+        new, w = svm._free_set_step(z, alpha, alpha @ z, 1.0)
+        assert _dual(new, z) > _dual(alpha, z)
+        assert np.all((new >= 0.0) & (new <= 1.0))
+        assert np.abs(w - new @ z).max() <= 1e-12
+
+    def test_singular_gram_falls_back_to_lstsq(self, monkeypatch):
+        # The third row is the sum of the others, so Cholesky meets an
+        # exactly zero pivot.
+        z = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        alpha = np.array([0.1, 0.2, 0.1])
+        shapes = []
+        real = np.linalg.lstsq
+
+        def spy(a, b, **kwargs):
+            shapes.append(a.shape)
+            return real(a, b, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy)
+        new, w = svm._free_set_step(z, alpha, alpha @ z, 1.0)
+        assert shapes == [(3, 3)]
+        assert _dual(new, z) > _dual(alpha, z)
+        assert np.abs(w - new @ z).max() <= 1e-12
 
     def test_rerun_bit_identical(self):
         x, y, cfg = _duplicated_rows(0, 64, 1.0, True, 1.0)
