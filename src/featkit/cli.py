@@ -198,7 +198,6 @@ def _cmd_predict(args) -> int:
             f"feature dim {matrix.dim} does not match model dim "
             f"{model.input_dim}"
         )
-    keys = sorted(model.models)
     scores = svm.decision(model, matrix.values)
     pooled = {
         base: augment.pool_responses(scores[rows], args.pooling)
@@ -206,11 +205,12 @@ def _cmd_predict(args) -> int:
     }
     lines = []
     if model.strategy == "ovo":
-        for base, vals in pooled.items():
-            label = svm.predict_ovo_from_scores(model, dict(zip(keys, vals)))
-            lines.append(f"{base}\t{label}")
+        labels = svm.predict_ovo_from_scores(
+            model, np.stack(list(pooled.values()))
+        )
+        lines.extend(f"{base}\t{label}" for base, label in zip(pooled, labels))
     else:
-        header = ["id"] + [model.classes[ci] for ci in keys]
+        header = ["id"] + [model.classes[ci] for ci in sorted(model.models)]
         lines.append("\t".join(header))
         for base, vals in pooled.items():
             lines.append(f"{base}\t{fmt_row(vals)}")

@@ -506,40 +506,46 @@ def train_one_vs_one(features: FeatureMatrix, labels, cfg: SolverConfig
     return MulticlassModel("ovo", classes, models, cfg.bias)
 
 
-def predict_ovo_from_scores(model: MulticlassModel, pair_scores: dict):
-    """Vote with precomputed per-pair decision values.
+def predict_ovo_from_scores(model: MulticlassModel, scores):
+    """Vote with precomputed decision values; one label per image.
 
-    Each pair model votes for its predicted side (a zero score counts
-    for the +1 side, i.e. the lower-indexed class).  Ties on votes are
-    broken by the larger sum of absolute winning margins, then by class
-    order.
+    ``scores`` is an (images, pairs) block whose columns follow the
+    sorted pair keys; one image is a one-row block.  Each pair model
+    votes for its predicted side (a zero score counts for the +1 side,
+    i.e. the lower-indexed class).  Ties on votes are broken by the
+    larger sum of absolute winning margins, then by class order.  The
+    pairs are tallied in key order, so each image's margin sums have the
+    bits of a tally over that image alone.
     """
     if model.strategy != "ovo":
         raise ValueError("vote prediction requires a one-vs-one model")
-    k = len(model.classes)
-    votes = np.zeros(k, dtype=np.int64)
-    margin = np.zeros(k)
-    for (i, j) in sorted(pair_scores):
-        s = float(pair_scores[(i, j)])
-        winner = i if s >= 0.0 else j
-        votes[winner] += 1
-        margin[winner] += abs(s)
-    best_votes = votes.max()
-    tied = np.flatnonzero(votes == best_votes)
-    if tied.size > 1:
-        best_margin = margin[tied].max()
-        tied = tied[margin[tied] == best_margin]
-    return model.classes[int(tied[0])]
+    keys = sorted(model.models)
+    block = np.asarray(scores, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] != len(keys):
+        raise DimMismatch(
+            f"expected (images, {len(keys)}) pair scores, got {block.shape}"
+        )
+    shape = (block.shape[0], len(model.classes))
+    votes = np.zeros(shape, dtype=np.int64)
+    margin = np.zeros(shape)
+    rows = np.arange(shape[0])
+    for col, (i, j) in enumerate(keys):
+        s = block[:, col]
+        winner = np.where(s >= 0.0, i, j)
+        votes[rows, winner] += 1
+        margin[rows, winner] += np.abs(s)
+    tied = votes == votes.max(axis=1, keepdims=True)
+    margin[~tied] = -np.inf
+    best = margin == margin.max(axis=1, keepdims=True)
+    return [model.classes[c] for c in best.argmax(axis=1).tolist()]
 
 
 def predict_ovo(model: MulticlassModel, x):
     """Voted label for one input vector, or a list of labels for rows."""
-    keys = sorted(model.models)
     scores = decision(model, x)
     if scores.ndim == 1:
-        return predict_ovo_from_scores(model, dict(zip(keys, scores)))
-    return [predict_ovo_from_scores(model, dict(zip(keys, row)))
-            for row in scores]
+        return predict_ovo_from_scores(model, scores[None, :])[0]
+    return predict_ovo_from_scores(model, scores)
 
 
 def ova_scores(model: MulticlassModel, x) -> np.ndarray:

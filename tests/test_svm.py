@@ -559,11 +559,17 @@ def _stub_ovo(classes):
     return MulticlassModel("ovo", tuple(classes), models, bias=False)
 
 
+def _vote(model, scores):
+    """The vote for one image from a {pair key: score} dict."""
+    row = [scores[key] for key in sorted(model.models)]
+    return predict_ovo_from_scores(model, np.array([row]))[0]
+
+
 class TestOvoVoting:
     def test_unanimous_winner(self):
         model = _stub_ovo(("a", "b", "c"))
         scores = {(0, 1): -1.0, (0, 2): -2.0, (1, 2): 3.0}  # b beats all
-        assert predict_ovo_from_scores(model, scores) == "b"
+        assert _vote(model, scores) == "b"
 
     def test_matches_exhaustive_tally(self, rng):
         for k in range(2, 6):
@@ -573,28 +579,45 @@ class TestOvoVoting:
                 scores = {
                     key: float(rng.normal()) for key in model.models
                 }
-                assert predict_ovo_from_scores(model, scores) == (
+                assert _vote(model, scores) == (
                     ovo_vote_oracle(classes, scores)
                 )
+
+    def test_block_matches_tally_per_image(self, rng):
+        # Small integer scores make vote and margin ties common.
+        for k in range(2, 7):
+            classes = tuple(chr(ord("a") + i) for i in range(k))
+            model = _stub_ovo(classes)
+            keys = sorted(model.models)
+            block = rng.integers(-2, 3, size=(60, len(keys))).astype(float)
+            want = [ovo_vote_oracle(classes, dict(zip(keys, row)))
+                    for row in block.tolist()]
+            assert predict_ovo_from_scores(model, block) == want
+
+    def test_block_shape_checked(self):
+        model = _stub_ovo(("a", "b", "c"))
+        for bad in (np.zeros(3), np.zeros((2, 2)), np.zeros((1, 3, 1))):
+            with pytest.raises(DimMismatch):
+                predict_ovo_from_scores(model, bad)
 
     def test_invariant_under_positive_scaling(self, rng):
         model = _stub_ovo(("a", "b", "c", "d"))
         for _ in range(25):
             scores = {key: float(rng.normal()) for key in model.models}
-            base = predict_ovo_from_scores(model, scores)
+            base = _vote(model, scores)
             for lam in (0.001, 3.0, 1e4):
                 scaled = {key: lam * v for key, v in scores.items()}
-                assert predict_ovo_from_scores(model, scaled) == base
+                assert _vote(model, scaled) == base
 
     def test_tie_breaks_by_margin_then_order(self):
         model = _stub_ovo(("a", "b", "c"))
         # a beats b, b beats c, c beats a: one vote each
         scores = {(0, 1): 1.0, (1, 2): 5.0, (0, 2): -2.0}
         # margins: a=1, b=5, c=2 -> b wins
-        assert predict_ovo_from_scores(model, scores) == "b"
+        assert _vote(model, scores) == "b"
         # equal margins -> class order
         scores = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): -1.0}
-        assert predict_ovo_from_scores(model, scores) == "a"
+        assert _vote(model, scores) == "a"
 
 
 class TestModelPersistence:
