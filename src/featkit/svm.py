@@ -10,13 +10,14 @@ w = sum_i alpha_i y_i x_i.  Coordinates are visited in a freshly
 shuffled order every epoch, drawn from a seeded generator, so training
 is deterministic for a fixed seed.  Coordinates pinned at a bound are
 shrunk out of the visiting order, while the duality-gap stop test
-always runs over every sample.  Once the set of free duals (strictly
-between 0 and C) has held for two epochs, it is solved exactly in one
-least-squares step, the finish of an active-set method (Scheinberg,
-JMLR 2006); the step is kept only when it raises the dual, so the stop
-test alone still certifies the result.  An optional bias is realised as
-an appended constant-1 feature, which keeps the objective in the exact
-form above.
+always runs over every sample.  After an epoch, a new set of free
+duals (strictly between 0 and C) whose solve fits a flop budget takes
+one Newton step, the finish of an active-set method (Scheinberg, JMLR
+2006): a Cholesky solve over its distinct rows, then an exact line
+search towards the clipped Newton point.  The step is kept only when it
+raises the dual, so the stop test alone still certifies the result.  An
+optional bias is realised as an appended constant-1 feature, which
+keeps the objective in the exact form above.
 """
 
 from __future__ import annotations
@@ -189,13 +190,6 @@ def _primal_dual(xa, ya, w, alpha, c):
     return primal, math.fsum(alpha) - 0.5 * ww
 
 
-def _signed_rows(xa, ya, idx):
-    """Rows ``y_i x_i`` for the indices ``idx``, as a new array."""
-    out = xa[idx]
-    out *= ya[idx, None]
-    return out
-
-
 def _cho_solve(low, r):
     """Solve ``(low low^T) x = r`` for a lower-triangular ``low``.
 
@@ -278,20 +272,26 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     open, all coordinates return and the thresholds are cleared; on an
     epoch that visited every coordinate this instead ends the solve.
 
-    After an epoch whose gap test fails, if the free set F (duals
-    strictly between 0 and C) is non-empty, equals the previous epoch's,
-    has not been tried before and has at most as many members as the
-    rows have columns, the dual is maximized over F with the other duals
-    held (:func:`_free_set_step`).  The result is kept only if the dual
-    ``sum(alpha) - 0.5|w|^2`` rises; ``w`` is then rebuilt from its
-    parts and the same gap test runs again over all rows.  A rejected
-    or unhelpful step costs one small solve and changes nothing, so the
-    certificate does not depend on the step.
+    After every epoch whose gap test fails, the free set F (duals
+    strictly between 0 and C) takes a Newton step when it is non-empty,
+    has not been tried before, and its Gram product and Cholesky
+    factorization, ``2|F|^2 cols + |F|^3 / 3`` flops, are at most
+    ``STEP_FLOP_MULTIPLE`` times the epoch's ``2 (visits + n) cols``.
+    The budget uses sizes only, so it is deterministic.  The step
+    (:func:`_free_set_step`) holds the other duals, merges identical
+    rows, and is skipped when F has more distinct rows than there are
+    columns.  It solves the distinct rows' Gram by Cholesky, or by
+    ``lstsq`` when the Gram is not positive definite, and moves towards
+    the clipped Newton point by the step length that maximizes the
+    dual on that segment.  The result is kept only if the dual
+    ``sum(alpha) - 0.5|w|^2`` rises; the same gap test then runs again
+    over all rows.  A rejected step changes nothing, so the certificate
+    does not depend on the step.
 
     A :class:`ConvergenceWarning` is emitted when ``cfg.max_epochs``
     runs out with the gap still open.  ``stats`` on the returned model
     records epochs, coordinate visits, the final gap, convergence and
-    the number of accepted free-set steps.
+    the free-set steps kept and tried.
     """
     xa, ya = _as_xy(x, y)
     if np.all(ya == ya[0]):
@@ -361,7 +361,7 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
             if (f and key not in tried and 2 * f * f * cols + f**3 / 3
                     <= STEP_FLOP_MULTIPLE * epoch_flops):
                 tried.add(key)
-                step = _free_set_step(_signed_rows(xa, ya, free), al[free],
+                step = _free_set_step(xa[free] * ya[free, None], al[free],
                                       w, c)
                 if step is not None:
                     tries += 1
