@@ -198,6 +198,7 @@ def _cmd_predict(args) -> int:
             f"feature dim {matrix.dim} does not match model dim "
             f"{model.input_dim}"
         )
+    keys = sorted(model.models)
     scores = svm.decision(model, matrix.values)
     pooled = {
         base: augment.pool_responses(scores[rows], args.pooling)
@@ -210,7 +211,7 @@ def _cmd_predict(args) -> int:
         )
         lines.extend(f"{base}\t{label}" for base, label in zip(pooled, labels))
     else:
-        header = ["id"] + [model.classes[ci] for ci in sorted(model.models)]
+        header = ["id"] + [model.classes[ci] for ci in keys]
         lines.append("\t".join(header))
         for base, vals in pooled.items():
             lines.append(f"{base}\t{fmt_row(vals)}")

@@ -228,6 +228,7 @@ def _free_set_step(z, alpha_f, w, c):
     duals and ``w``, or None when ``z`` has more distinct rows than
     columns and the Gram must be singular.
     """
+    # owner[i] is the first row whose bytes equal row i's.
     seen = {}
     keys = z.view(np.dtype((np.void, z.itemsize * z.shape[1]))).ravel()
     owner = np.array([seen.setdefault(k, i)

@@ -16,7 +16,7 @@ def _probe():
 
 
 def test_reports_every_model(capsys):
-    assert _probe().main(["--rows", "96", "--dim", "32", "--classes", "3"]) == 0
+    assert _probe().main(["--rows", "96", "--dim", "32"]) == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     fields = {r[0]: r[1:] for r in rows if r[0] != "model"}
     assert fields["rows"] == ["96"] and fields["dim"] == ["32"]
@@ -25,7 +25,7 @@ def test_reports_every_model(capsys):
     )
     header, *models = [r[1:] for r in rows if r[0] == "model"]
     assert header[:3] == ["class", "epochs", "visits"]
-    assert [m[0] for m in models] == ["0", "1", "2"]
+    assert [m[0] for m in models] == ["0", "1", "2", "3"]
     for m in models:
         stats = dict(zip(header, m))
         assert stats["converged"] == "1"

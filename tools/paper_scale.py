@@ -7,7 +7,8 @@ all rows, as VOC 2007 trains one per class.  Run from a source tree:
 
     python tools/paper_scale.py --rows 20000
 
-It prints tab-separated lines: the input shape and size, the RSS before
+There are 4 classes, C is the VOC 2007 preset and the seed is 0.  It
+prints tab-separated lines: the input shape and size, the RSS before
 training, then one ``model`` line per class (epochs, coordinate visits,
 free-set steps tried and kept, solve seconds, converged flag, final
 duality gap) and the process's peak RSS.  Nothing is written to disk.
@@ -29,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from featkit.svm import C_PRESETS, SolverConfig, train_binary  # noqa: E402
 
 VIEWS = 16
+CLASSES = 4
 
 
 def paper_rows(seed: int, images: int, classes: int, dim: int):
@@ -55,26 +57,21 @@ def main(argv=None) -> int:
     p.add_argument("--rows", type=int, required=True,
                    help="training rows, a multiple of 16")
     p.add_argument("--dim", type=int, default=4096)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--C", type=float, default=C_PRESETS["voc2007"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-epochs", type=int, default=10000)
     args = p.parse_args(argv)
-    if args.rows < VIEWS or args.rows % VIEWS:
-        p.error("--rows must be a positive multiple of 16")
-    if args.classes < 2 or args.rows // VIEWS < args.classes:
-        p.error("--classes must be at least 2 and at most rows / 16")
+    if args.rows < VIEWS * CLASSES or args.rows % VIEWS:
+        p.error(f"--rows must be a multiple of 16, at least {VIEWS * CLASSES}")
+    if args.dim < CLASSES:
+        p.error(f"--dim must be at least {CLASSES}")
 
-    x, labels = paper_rows(args.seed, args.rows // VIEWS, args.classes,
-                           args.dim)
-    cfg = SolverConfig(C=args.C, max_epochs=args.max_epochs, seed=args.seed)
+    x, labels = paper_rows(0, args.rows // VIEWS, CLASSES, args.dim)
+    cfg = SolverConfig(C=C_PRESETS["voc2007"])
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"rows\t{x.shape[0]}\ndim\t{x.shape[1]}")
     print(f"input_mb\t{x.nbytes / 2**20:.1f}")
     print(f"peak_rss_before_train_mb\t{_rss_mb(usage):.1f}")
     print("model\tclass\tepochs\tvisits\tsteps_tried\tsteps_kept\t"
           "solve_s\tconverged\tgap")
-    for cls in range(args.classes):
+    for cls in range(CLASSES):
         y = np.where(labels == cls, 1.0, -1.0)
         t0 = time.perf_counter()
         with warnings.catch_warnings():
