@@ -13,8 +13,8 @@ shrunk out of the visiting order, while the duality-gap stop test
 always runs over every sample.  After an epoch, a new set of free
 duals (strictly between 0 and C) whose solve fits a flop budget takes
 one Newton step, the finish of an active-set method (Scheinberg, JMLR
-2006): a Cholesky solve over its distinct rows, then an exact line
-search towards the clipped Newton point.  The step is kept only when it
+2006): a linear solve over the free rows, then an exact line search
+towards the clipped Newton point.  The step is kept only when it
 raises the dual, so the stop test alone still certifies the result.  An
 optional bias is realised as an appended constant-1 feature, which
 keeps the objective in the exact form above.
@@ -39,14 +39,14 @@ from .features import FeatureMatrix, fmt_float, fmt_row
 
 MODEL_MAGIC = "OTSVM1"
 
-# A free-set step is tried only when its Gram product and Cholesky
-# factorization, 2|F|^2 cols + |F|^3 / 3 flops, are at most this many
-# times the flops of the epoch before it: 2 (visits + n) cols for the
-# coordinate products and the duality-gap product.  Sizes only, so the
-# choice is deterministic.
+# A free-set step is tried only when its Gram product and LU solve,
+# 2|F|^2 cols + 2|F|^3 / 3 flops, are at most this many times the flops
+# of the epochs since the last step tried: 2 (visits + n) cols each, for
+# the coordinate products and the duality-gap product.  Steps then cost
+# at most this multiple of the epochs, and a free set that stays put is
+# tried once enough epochs have passed.  Sizes only, so the choice is
+# deterministic.
 STEP_FLOP_MULTIPLE = 32
-# Rows per block of the substitution in _cho_solve.
-_BLOCK = 64
 
 # Cross-validated trade-off presets, per dataset family.
 C_PRESETS = {
@@ -190,68 +190,39 @@ def _primal_dual(xa, ya, w, alpha, c):
     return primal, math.fsum(alpha) - 0.5 * ww
 
 
-def _cho_solve(low, r):
-    """Solve ``(low low^T) x = r`` for a lower-triangular ``low``.
-
-    numpy has no triangular solve, so each substitution pass takes
-    ``_BLOCK`` rows at a time: a small dense solve on the diagonal
-    block, then one matrix-vector product for the rows it feeds.
-    """
-    x = r.copy()
-    starts = range(0, r.size, _BLOCK)
-    for s in starts:
-        e = s + _BLOCK
-        x[s:e] = np.linalg.solve(low[s:e, s:e], x[s:e])
-        if e < r.size:
-            x[e:] -= low[e:, s:e] @ x[s:e]
-    for s in reversed(starts):
-        e = s + _BLOCK
-        x[s:e] = np.linalg.solve(low[s:e, s:e].T, x[s:e])
-        if s:
-            x[:s] -= low[s:e, :s].T @ x[s:e]
-    return x
-
-
 def _free_set_step(z, alpha_f, w, c):
     """Raise the dual along the free duals' clipped Newton direction.
 
     ``z`` holds the signed rows ``y_i x_i`` of the free duals
-    ``alpha_f``; every other dual is held.  Identical rows enter the
-    dual only through their sum, so each set of them is one unknown,
-    split evenly among its members.  With ``Z`` the distinct rows and
-    ``s`` their dual sums, the free optimum is ``s + delta`` where
-    ``(Z Z^T) delta = 1 - Z w``, solved by Cholesky, or by ``lstsq``
-    when the Gram is not positive definite.  Clipping that point to the
-    box gives a direction ``d``; the step length
+    ``alpha_f``; every other dual is held.  The free optimum is
+    ``alpha_f + delta`` where ``(z z^T) delta = 1 - z w``, solved by
+    ``np.linalg.solve``, or by ``lstsq`` (the minimum-norm solution)
+    when rows repeat or the solve finds the Gram singular.  Clipping
+    that point to the box gives a direction ``d``; the step length
     ``t = clip((sum d - w.dw) / |dw|^2, 0, 1)`` maximizes the concave
     dual on the segment, so the dual never falls.  Returns the new free
     duals and ``w``, or None when ``z`` has more distinct rows than
     columns and the Gram must be singular.
     """
-    # owner[i] is the first row whose bytes equal row i's.
-    seen = {}
-    keys = z.view(np.dtype((np.void, z.itemsize * z.shape[1]))).ravel()
-    owner = np.array([seen.setdefault(k, i)
-                      for i, k in enumerate(keys.tolist())])
-    if len(seen) > z.shape[1]:
+    distinct = len({row.tobytes() for row in z})
+    if distinct > z.shape[1]:
         return None
-    first = np.flatnonzero(owner == np.arange(owner.size))
-    inv = np.searchsorted(first, owner)
-    zd = z[first]
-    count = np.bincount(inv)
-    s = np.bincount(inv, weights=alpha_f)
-    gram = zd @ zd.T
-    r = 1.0 - zd @ w
-    try:
-        delta = _cho_solve(np.linalg.cholesky(gram), r)
-    except np.linalg.LinAlgError:
+    gram = z @ z.T
+    r = 1.0 - z @ w
+    delta = None
+    if distinct == len(z):
+        try:
+            delta = np.linalg.solve(gram, r)
+        except np.linalg.LinAlgError:
+            pass
+    if delta is None:
         delta = np.linalg.lstsq(gram, r, rcond=None)[0]
-    target = np.clip((s + delta) / count, 0.0, c)
-    d = target[inv] - alpha_f
-    dw = (count * target - s) @ zd
+    target = np.clip(alpha_f + delta, 0.0, c)
+    d = target - alpha_f
+    dw = d @ z
     num, dd = float(d.sum()) - float(w @ dw), float(dw @ dw)
     t = 0.0 if num <= 0.0 else 1.0 if num >= dd else num / dd
-    new = target[inv] if t == 1.0 else np.clip(alpha_f + t * d, 0.0, c)
+    new = target if t == 1.0 else np.clip(alpha_f + t * d, 0.0, c)
     return new, w + t * dw
 
 
@@ -275,16 +246,16 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
 
     After every epoch whose gap test fails, the free set F (duals
     strictly between 0 and C) takes a Newton step when it is non-empty,
-    has not been tried before, and its Gram product and Cholesky
-    factorization, ``2|F|^2 cols + |F|^3 / 3`` flops, are at most
-    ``STEP_FLOP_MULTIPLE`` times the epoch's ``2 (visits + n) cols``.
-    The budget uses sizes only, so it is deterministic.  The step
-    (:func:`_free_set_step`) holds the other duals, merges identical
-    rows, and is skipped when F has more distinct rows than there are
-    columns.  It solves the distinct rows' Gram by Cholesky, or by
-    ``lstsq`` when the Gram is not positive definite, and moves towards
-    the clipped Newton point by the step length that maximizes the
-    dual on that segment.  The result is kept only if the dual
+    has not been tried before, and its Gram product and LU solve,
+    ``2|F|^2 cols + 2|F|^3 / 3`` flops, are at most
+    ``STEP_FLOP_MULTIPLE`` times the ``2 (visits + n) cols`` flops of
+    the epochs since the last step tried.  The budget uses sizes only,
+    so it is deterministic.  The step (:func:`_free_set_step`) holds the
+    other duals and is skipped when F has more distinct rows than there
+    are columns.  It solves the free rows' Gram by ``np.linalg.solve``,
+    or by ``lstsq`` when rows repeat or the Gram is singular, and moves
+    towards the clipped Newton point by the step length that maximizes
+    the dual on that segment.  The result is kept only if the dual
     ``sum(alpha) - 0.5|w|^2`` rises; the same gap test then runs again
     over all rows.  A rejected step changes nothing, so the certificate
     does not depend on the step.
@@ -317,9 +288,10 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     visits = steps = tries = 0
     converged = False
     tried = set()
+    work = 0
     for epochs in range(1, cfg.max_epochs + 1):
         full = len(active) == n
-        epoch_flops = 2 * (len(active) + n) * cols
+        work += 2 * (len(active) + n) * cols
         hi, lo = -math.inf, math.inf
         kept = []
         for i in rng.permutation(active).tolist():
@@ -359,13 +331,14 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
             free = np.flatnonzero((al > 0.0) & (al < c))
             key = free.tobytes()
             f = free.size
-            if (f and key not in tried and 2 * f * f * cols + f**3 / 3
-                    <= STEP_FLOP_MULTIPLE * epoch_flops):
+            if (f and key not in tried and 2 * f * f * cols + 2 * f**3 / 3
+                    <= STEP_FLOP_MULTIPLE * work):
                 tried.add(key)
                 step = _free_set_step(xa[free] * ya[free, None], al[free],
                                       w, c)
                 if step is not None:
                     tries += 1
+                    work = 0
                     al[free], w_f = step
                     p_f, d_f = _primal_dual(xa, ya, w_f, al, c)
                     if d_f > dual:

@@ -16,10 +16,10 @@ def _probe():
 
 
 def test_reports_every_model(capsys):
-    assert _probe().main(["--rows", "96", "--dim", "32"]) == 0
+    assert _probe().main(["--rows", "96"]) == 0
     rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
     fields = {r[0]: r[1:] for r in rows if r[0] != "model"}
-    assert fields["rows"] == ["96"] and fields["dim"] == ["32"]
+    assert fields["rows"] == ["96"] and fields["dim"] == ["4096"]
     assert float(fields["peak_rss_mb"][0]) >= float(
         fields["peak_rss_before_train_mb"][0]
     )

@@ -270,8 +270,8 @@ class TestFreeSetStep:
         x, y, cfg = _duplicated_rows(0, 64, 1.0, True, 1.0)
         m, _ = self._check(x, y, cfg)
         assert m.stats.free_set_steps >= 1
-        # Free duplicates make X_F X_F^T singular; the step solves over
-        # the distinct rows.
+        # Free duplicates make X_F X_F^T singular; the step takes the
+        # minimum-norm lstsq solution.
         assert any(rank < size for size, rank in step_calls)
 
     def test_empty_free_set(self, step_calls):
@@ -301,22 +301,77 @@ class TestFreeSetStep:
         assert no_step.stats.free_set_tries == 0
         assert m.stats.epochs < no_step.stats.epochs
 
-    def test_over_budget_free_set_not_tried(self, step_calls):
+    def test_over_budget_free_set_not_tried(self, step_calls,
+                                            monkeypatch):
         # 150 separable rows in 300 dimensions: about 130 end on the
         # margin with free duals, and their Gram costs more than the
-        # budget allows after any epoch, even one that visits every row.
+        # budget of any one epoch, even one that visits every row.
         rng = np.random.default_rng(0)
         x = rng.normal(size=(150, 300))
         y = np.where(rng.random(150) < 0.5, 1.0, -1.0)
-        m, _ = self._check(x, y, SolverConfig(C=1e3))
-        xa = np.hstack([x, np.ones((150, 1))])
+        n, cols = 150, 301
+        # The solver draws one permutation of its active rows per epoch:
+        # record each epoch's visits and the steps tried before it.
+        epochs = []
+        real_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def permutation(self, active):
+                epochs.append((len(active), len(step_calls)))
+                return self._rng.permutation(active)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        m = train_binary(x, y, SolverConfig(C=1e3))
+        assert m.stats.converged
+
+        def cost(f):
+            return 2 * f * f * cols + 2 * f**3 / 3
+
+        def budget(visits):
+            return svm.STEP_FLOP_MULTIPLE * 2 * (visits + n) * cols
+
+        xa = np.hstack([x, np.ones((n, 1))])
         f = int((np.abs(y * (xa @ m.w) - 1.0) < 1e-6).sum())
-        cols = xa.shape[1]
-        assert 2 * f * f * cols + f**3 / 3 > (
-            svm.STEP_FLOP_MULTIPLE * 2 * (150 + 150) * cols
-        )
-        assert step_calls == []
-        assert m.stats.free_set_tries == 0
+        assert cost(f) > budget(n)
+        assert step_calls
+        # No set here has more distinct rows than columns, so every call
+        # is a step tried.  Each fits the flops of the epochs since the
+        # last one, and the first did not fit its own epoch's.
+        for j, (size, _) in enumerate(step_calls):
+            since = [v for v, tried in epochs if tried == j]
+            assert cost(size) <= sum(budget(v) for v in since)
+        first = step_calls[0][0]
+        assert cost(first) > budget(n)
+        assert len([v for v, tried in epochs if tried == 0]) > 1
+
+    def test_more_distinct_free_rows_than_columns_skipped(self,
+                                                          monkeypatch):
+        # Four distinct rows in three columns: the Gram must be singular.
+        z = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                      [1.0, 1.0, 1.0]])
+        alpha = np.full(4, 0.5)
+        assert svm._free_set_step(z, alpha, alpha @ z, 1.0) is None
+        # 80 distinct rows in 10 dimensions: early free sets with more
+        # distinct rows than the 11 columns fit the budget, reach the
+        # step, and are not counted as tried.
+        returns = []
+        real = svm._free_set_step
+
+        def recording(z, alpha_f, w, c):
+            returns.append((len(z), real(z, alpha_f, w, c)))
+            return returns[-1][1]
+
+        monkeypatch.setattr(svm, "_free_set_step", recording)
+        rng = np.random.default_rng(0)
+        y = np.where(rng.random(80) < 0.5, 1.0, -1.0)
+        x = rng.normal(size=(80, 10)) + 1.5 * y[:, None] / np.sqrt(10)
+        m, _ = self._check(x, y, SolverConfig(C=1.0))
+        skipped = [size for size, step in returns if step is None]
+        assert skipped and min(skipped) > 11
+        assert m.stats.free_set_tries == len(returns) - len(skipped)
 
     def test_clipped_step_raises_the_dual(self):
         # The free optimum (4, 13) lies outside the box [0, 1]^2.  Clipped
@@ -333,8 +388,8 @@ class TestFreeSetStep:
         assert np.abs(w - new @ z).max() <= 1e-12
 
     def test_singular_gram_falls_back_to_lstsq(self, monkeypatch):
-        # The third row is the sum of the others, so Cholesky meets an
-        # exactly zero pivot.
+        # The third row is the sum of the others, so the LU solve meets
+        # an exactly zero pivot.
         z = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         alpha = np.array([0.1, 0.2, 0.1])
         shapes = []
@@ -348,6 +403,20 @@ class TestFreeSetStep:
         new, w = svm._free_set_step(z, alpha, alpha @ z, 1.0)
         assert shapes == [(3, 3)]
         assert _dual(new, z) > _dual(alpha, z)
+        assert np.abs(w - new @ z).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_repeated_rows_take_the_minimum_norm_step(self, seed):
+        # 30 rows in 64 dimensions, each twice: the Gram is singular but
+        # an LU solve need not meet an exact zero pivot, so repeated rows
+        # go to lstsq, whose minimum-norm point moves both copies alike.
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=(30, 64))
+        z = np.vstack([r, r])
+        alpha = np.full(60, 0.01)
+        new, w = svm._free_set_step(z, alpha, alpha @ z, 10.0)
+        assert np.abs(new[:30] - new[30:]).max() <= 1e-12
+        assert _dual(new, z) > _dual(alpha, z) + 1e-3
         assert np.abs(w - new @ z).max() <= 1e-12
 
     def test_rerun_bit_identical(self):

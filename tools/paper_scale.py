@@ -31,17 +31,18 @@ from featkit.svm import C_PRESETS, SolverConfig, train_binary  # noqa: E402
 
 VIEWS = 16
 CLASSES = 4
+DIM = 4096
 
 
-def paper_rows(seed: int, images: int, classes: int, dim: int):
-    """(images * 16, dim) unit rows and the class index of each row."""
+def paper_rows(seed: int, images: int):
+    """(images * 16, 4096) unit rows and the class index of each row."""
     rng = np.random.default_rng(seed)
-    means = np.linalg.qr(rng.standard_normal((dim, classes)))[0].T
-    x = np.empty((images * VIEWS, dim))
-    labels = np.arange(images) % classes
+    means = np.linalg.qr(rng.standard_normal((DIM, CLASSES)))[0].T
+    x = np.empty((images * VIEWS, DIM))
+    labels = np.arange(images) % CLASSES
     for i, cls in enumerate(labels.tolist()):
-        base = means[cls] + rng.standard_normal(dim) / dim**0.5
-        views = base + 4.0 * rng.standard_normal((VIEWS, dim)) / dim**0.5
+        base = means[cls] + rng.standard_normal(DIM) / DIM**0.5
+        views = base + 4.0 * rng.standard_normal((VIEWS, DIM)) / DIM**0.5
         x[i * VIEWS:(i + 1) * VIEWS] = views / np.linalg.norm(
             views, axis=1, keepdims=True
         )
@@ -56,14 +57,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--rows", type=int, required=True,
                    help="training rows, a multiple of 16")
-    p.add_argument("--dim", type=int, default=4096)
     args = p.parse_args(argv)
     if args.rows < VIEWS * CLASSES or args.rows % VIEWS:
         p.error(f"--rows must be a multiple of 16, at least {VIEWS * CLASSES}")
-    if args.dim < CLASSES:
-        p.error(f"--dim must be at least {CLASSES}")
 
-    x, labels = paper_rows(0, args.rows // VIEWS, CLASSES, args.dim)
+    x, labels = paper_rows(0, args.rows // VIEWS)
     cfg = SolverConfig(C=C_PRESETS["voc2007"])
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(f"rows\t{x.shape[0]}\ndim\t{x.shape[1]}")
