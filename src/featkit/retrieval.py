@@ -82,6 +82,8 @@ class RetrievalIndex:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if len(self.entries) < 2:
+            raise ValueError("an index needs at least two references")
         expected = (patch_count(self.config.h_r), self.model.k)
         for e in self.entries:
             if e.vectors.shape != expected:
@@ -281,8 +283,6 @@ def search(index: RetrievalIndex, query, binding=None, *,
         raise ValueError("top_k must be at least 1")
     q = query_patch_vectors(index, query, binding, h_q)
     n_refs = len(index.entries)
-    if n_refs == 0:
-        return []
     refs, ref_sq = index.patch_matrix
     q64 = q.astype(np.float64)
     q_sq = np.einsum("ij,ij->i", q64, q64)

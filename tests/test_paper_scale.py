@@ -1,4 +1,4 @@
-"""Smoke test of the paper-scale solver probe at a tiny size."""
+"""Smoke tests of the paper-scale probe's two modes at tiny sizes."""
 
 import importlib.util
 from pathlib import Path
@@ -36,4 +36,29 @@ def test_reports_every_model(capsys):
 def test_rows_must_be_whole_images():
     with pytest.raises(SystemExit) as exc:
         _probe().main(["--rows", "50"])
+    assert exc.value.code == 2
+
+
+def test_index_mode_reports_every_stage(capsys):
+    probe = _probe()
+    probe.DIM = 32  # the chain's eigh at 4096-d would dominate the suite
+    assert probe.main(["--refs", "3"]) == 0
+    fields = dict(line.split("\t")
+                  for line in capsys.readouterr().out.splitlines())
+    assert (fields["refs"], fields["patches"], fields["dim"]) == (
+        "3", "90", "32")
+    for stage in ("fit", "apply", "save_index", "load_index",
+                  "patch_matrix"):
+        assert float(fields[f"{stage}_s"]) >= 0.0
+    assert int(fields["index_bytes"]) > 3 * 30 * 32 * 4
+    assert float(fields["search_ms_per_query"]) >= 0.0
+    assert fields["self_matches"] == "3/3"
+    assert float(fields["peak_rss_mb"]) >= float(
+        fields["peak_rss_before_fit_mb"]
+    )
+
+
+def test_refs_must_be_at_least_two():
+    with pytest.raises(SystemExit) as exc:
+        _probe().main(["--refs", "1"])
     assert exc.value.code == 2

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from featkit.errors import (
@@ -10,6 +12,7 @@ from featkit.errors import (
     RankDeficientWarning,
 )
 from featkit.preprocess import (
+    COMPONENT_DECIMALS,
     PcaWhitenModel,
     PipelineConfig,
     _unit_rows,
@@ -95,6 +98,12 @@ class TestPcaFit:
         model = pca_fit(x, 8)
         gram = model.components @ model.components.T
         assert np.abs(gram - np.eye(8)).max() <= 1e-8
+
+    def test_components_on_grid(self, rng):
+        model = pca_fit(rng.normal(size=(40, 12)) * 100.0, 8)
+        comps = model.components
+        assert np.array_equal(comps, np.round(comps, COMPONENT_DECIMALS))
+        assert np.abs(comps).max() <= 1.0
 
     def test_sign_convention_deterministic(self, rng):
         x = rng.normal(size=(30, 6))
@@ -363,8 +372,10 @@ class TestPcawParser:
         lambda cells: cells + ["1.0"],
         lambda cells: cells[:1] + ["abc"] + cells[2:],
         lambda cells: cells[:1] + [""] + cells[2:],
+        lambda cells: ["nan"] + cells[1:],
+        lambda cells: cells[:1] + ["-inf"] + cells[2:],
     ], ids=["hash", "hash-prefix", "empty-line", "short", "long",
-            "non-numeric", "empty-cell"])
+            "non-numeric", "empty-cell", "nan", "inf"])
     def test_malformed_rows(self, row, edit):
         lines = dump_pca_model_text(_edge_model()).split("\n")
         lines[row] = "\t".join(edit(lines[row].split("\t")))
@@ -378,9 +389,82 @@ class TestPcawParser:
             parse_pca_model_text("\n".join(lines))
 
     @pytest.mark.parametrize("size_line", ["0\t5\t1e-05", "-1\t5\t1e-05",
-                                           "2\t0\t1e-05", "2\t5"])
+                                           "2\t0\t1e-05", "2\t5",
+                                           "2\t5\tnan", "2\t5\tinf"])
     def test_bad_size_line(self, size_line):
         lines = dump_pca_model_text(_edge_model()).split("\n")
         lines[1] = size_line
         with pytest.raises(MalformedFile):
             parse_pca_model_text("\n".join(lines))
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["mean", "components", "eigenvalues",
+                                       "epsilon"])
+    def test_model(self, field, bad):
+        parts = dict(mean=np.zeros(3), components=np.eye(3)[:2],
+                     eigenvalues=np.array([2.0, 1.0]), epsilon=1e-10)
+        if field == "epsilon":
+            parts[field] = bad
+        else:
+            parts[field] = parts[field].copy()
+            parts[field].flat[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            PcaWhitenModel(**parts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["power", "epsilon"])
+    def test_config(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PipelineConfig(**{field: bad})
+
+
+# multiples of 1e-15 in [-1, 1]: the grid of fitted components
+_grid_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-15, -1e-15]),
+    st.integers(-10**15, 10**15).map(lambda m: m / 1e15),
+)
+_FIXED = re.compile(r"-?[01]\.\d{15}")
+
+
+def _component_cells(text: str, k: int) -> list:
+    return [c for ln in text.split("\n")[3 : 3 + k] for c in ln.split("\t")]
+
+
+class TestGridText:
+    @given(st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(_grid_value, min_size=6, max_size=6),
+        min_size=k, max_size=k)))
+    @example([[0.0, -0.0, 1.0, -1.0, 1e-15, -1e-15]])
+    def test_grid_components_round_trip_bit_exact(self, rows):
+        comps = np.array(rows)
+        k = comps.shape[0]
+        model = PcaWhitenModel(np.zeros(6), comps,
+                               np.arange(k, 0, -1, dtype=float))
+        text = dump_pca_model_text(model)
+        back = parse_pca_model_text(text)
+        assert np.array_equal(_bits(back.components), _bits(comps))
+        assert all(_FIXED.fullmatch(c) for c in _component_cells(text, k))
+
+    def test_fitted_rows_use_fixed_format(self, rng):
+        model = retrieval_pipeline_fit(rng.normal(size=(50, 9)),
+                                       PipelineConfig(pca_dim=5))
+        text = dump_pca_model_text(model)
+        cells = _component_cells(text, model.k)
+        assert len(cells) == model.k * model.dim_in
+        assert all(_FIXED.fullmatch(c) for c in cells)
+        assert np.array_equal(
+            _bits(parse_pca_model_text(text).components),
+            _bits(model.components),
+        )
+
+    def test_off_grid_model_keeps_shortest_text(self):
+        text = dump_pca_model_text(_edge_model())
+        assert _component_cells(text, 2)[:3] == ["1e-05", "-0.0", "1e+16"]
+
+    def test_grid_is_bounded_by_one(self):
+        model = PcaWhitenModel(np.zeros(2), np.array([[0.5, 2.0]]),
+                               np.ones(1))
+        assert _component_cells(dump_pca_model_text(model), 1) == [
+            "0.5", "2.0"]

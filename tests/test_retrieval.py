@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -576,25 +577,87 @@ class TestOtidx1Fixture:
         save_index(load_index(DATA / "otidx1_small.idx"), p)
         assert p.read_bytes() == (DATA / "otidx1_small.idx").read_bytes()
 
-    def test_non_finite_vector_rejected_by_library_and_cli(self, tmp_path,
-                                                           capsys):
+    @staticmethod
+    def _query_exit(tmp_path, index_path) -> int:
+        """Exit status of ``featkit query`` on the fixture's three
+        queries; a failed query leaves no ranking file."""
         from featkit.cli import main as cli_main
 
+        manifest = tmp_path / "queries.tsv"
+        manifest.write_text("q0\tx\nq1\tx\nq2\tx\n")
+        out = tmp_path / "ranking.tsv"
+        code = cli_main([
+            "query", "--index", str(index_path), "--queries", str(manifest),
+            "--extractor", "file",
+            "--features", str(DATA / "otidx1_small_queries.tsv"),
+            "--top-k", "4", "--out", str(out),
+        ])
+        assert code == 0 or not out.exists()
+        return code
+
+    def test_non_finite_vector_rejected_by_library_and_cli(self, tmp_path,
+                                                           capsys):
         blob = bytearray((DATA / "otidx1_small.idx").read_bytes())
         blob[-4:] = np.float32(np.nan).astype("<f4").tobytes()
         bad = tmp_path / "nan.idx"
         bad.write_bytes(bytes(blob))
         with pytest.raises(MalformedFile, match="non-finite"):
             load_index(bad)
-
-        manifest = tmp_path / "queries.tsv"
-        manifest.write_text("q0\tx\nq1\tx\nq2\tx\n")
-        out = tmp_path / "ranking.tsv"
-        assert cli_main([
-            "query", "--index", str(bad), "--queries", str(manifest),
-            "--extractor", "file",
-            "--features", str(DATA / "otidx1_small_queries.tsv"),
-            "--top-k", "4", "--out", str(out),
-        ]) == 2
+        assert self._query_exit(tmp_path, bad) == 2
         assert "non-finite" in capsys.readouterr().err
-        assert not out.exists()
+
+    @staticmethod
+    def _split(blob: bytes):
+        """(config line end, chain text lines, offset after the chain)."""
+        off = blob.index(b"\n", len(b"OTIDX1\n")) + 1
+        (mlen,) = struct.unpack_from("<I", blob, off)
+        text = blob[off + 4 : off + 4 + mlen].decode("utf-8")
+        return off, text.split("\n"), off + 4 + mlen
+
+    @pytest.mark.parametrize("line, cell, value", [
+        (None, 3, "nan"),  # config line: power
+        (None, 4, "inf"),  # config line: epsilon
+        (1, 2, "nan"),     # chain size line: epsilon
+        (2, 0, "nan"),     # mean
+        (3, 0, "nan"),     # first component row
+        (3, 1, "-inf"),    # first component row
+        (11, 0, "inf"),    # eigenvalues (k = 8)
+    ])
+    def test_non_finite_chain_rejected_by_library_and_cli(
+            self, tmp_path, line, cell, value):
+        blob = (DATA / "otidx1_small.idx").read_bytes()
+        off, lines, end = self._split(blob)
+        head = blob[:off]
+        if line is None:
+            cfg = blob[7 : off - 1].decode().split("\t")
+            cfg[cell] = value
+            head = b"OTIDX1\n" + "\t".join(cfg).encode() + b"\n"
+        else:
+            cells = lines[line].split("\t")
+            cells[cell] = value
+            lines[line] = "\t".join(cells)
+        text = "\n".join(lines).encode()
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(head + struct.pack("<I", len(text)) + text
+                        + blob[end:])
+        with pytest.raises(MalformedFile):
+            load_index(bad)
+        assert self._query_exit(tmp_path, bad) == 2
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_references_rejected(self, tmp_path, count):
+        blob = (DATA / "otidx1_small.idx").read_bytes()
+        _, _, end = self._split(blob)
+        pos = end + 4
+        for _ in range(count):
+            pos = blob.index(b"\n", pos) + 1
+            (n_rects,) = struct.unpack_from("<I", blob, pos)
+            pos += 4 + 16 * n_rects
+            n, k = struct.unpack_from("<II", blob, pos)
+            pos += 8 + 4 * n * k
+        bad = tmp_path / "few.idx"
+        bad.write_bytes(blob[:end] + struct.pack("<I", count)
+                        + blob[end + 4 : pos])
+        with pytest.raises(MalformedFile, match="two references"):
+            load_index(bad)
+        assert self._query_exit(tmp_path, bad) == 2
