@@ -578,22 +578,21 @@ class TestOtidx1Fixture:
         assert p.read_bytes() == (DATA / "otidx1_small.idx").read_bytes()
 
     @staticmethod
-    def _query_exit(tmp_path, index_path) -> int:
-        """Exit status of ``featkit query`` on the fixture's three
-        queries; a failed query leaves no ranking file."""
+    def _assert_query_fails(tmp_path, index_path) -> None:
+        """``featkit query`` on the fixture's three queries exits 2 and
+        writes no ranking file."""
         from featkit.cli import main as cli_main
 
         manifest = tmp_path / "queries.tsv"
         manifest.write_text("q0\tx\nq1\tx\nq2\tx\n")
         out = tmp_path / "ranking.tsv"
-        code = cli_main([
+        assert cli_main([
             "query", "--index", str(index_path), "--queries", str(manifest),
             "--extractor", "file",
             "--features", str(DATA / "otidx1_small_queries.tsv"),
             "--top-k", "4", "--out", str(out),
-        ])
-        assert code == 0 or not out.exists()
-        return code
+        ]) == 2
+        assert not out.exists()
 
     def test_non_finite_vector_rejected_by_library_and_cli(self, tmp_path,
                                                            capsys):
@@ -603,7 +602,7 @@ class TestOtidx1Fixture:
         bad.write_bytes(bytes(blob))
         with pytest.raises(MalformedFile, match="non-finite"):
             load_index(bad)
-        assert self._query_exit(tmp_path, bad) == 2
+        self._assert_query_fails(tmp_path, bad)
         assert "non-finite" in capsys.readouterr().err
 
     @staticmethod
@@ -629,7 +628,7 @@ class TestOtidx1Fixture:
         off, lines, end = self._split(blob)
         head = blob[:off]
         if line is None:
-            cfg = blob[7 : off - 1].decode().split("\t")
+            cfg = blob[len(b"OTIDX1\n") : off - 1].decode().split("\t")
             cfg[cell] = value
             head = b"OTIDX1\n" + "\t".join(cfg).encode() + b"\n"
         else:
@@ -642,7 +641,7 @@ class TestOtidx1Fixture:
                         + blob[end:])
         with pytest.raises(MalformedFile):
             load_index(bad)
-        assert self._query_exit(tmp_path, bad) == 2
+        self._assert_query_fails(tmp_path, bad)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_fewer_than_two_references_rejected(self, tmp_path, count):
@@ -660,4 +659,4 @@ class TestOtidx1Fixture:
                         + blob[end + 4 : pos])
         with pytest.raises(MalformedFile, match="two references"):
             load_index(bad)
-        assert self._query_exit(tmp_path, bad) == 2
+        self._assert_query_fails(tmp_path, bad)
