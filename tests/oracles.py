@@ -334,6 +334,20 @@ def ovo_vote_oracle(classes, pair_scores):
 
 
 # --------------------------------------------------------------------
+# PCAW1 component text
+# --------------------------------------------------------------------
+
+
+def fixed_decimal_rows_oracle(components) -> str:
+    """Component rows of a grid chain as PCAW1 text, one Python
+    ``'%.15f'`` format per value, tab-joined, each row ending in a
+    newline: the bytes ``dump_pca_model_text`` must write for them."""
+    rows = np.asarray(components, dtype=np.float64)
+    fmt = "\t".join(["%.15f"] * rows.shape[1])
+    return "".join(fmt % tuple(row) + "\n" for row in rows.tolist())
+
+
+# --------------------------------------------------------------------
 # TSV feature parsing
 # --------------------------------------------------------------------
 

@@ -587,6 +587,26 @@ class TestPreprocessCommands:
             )
 
 
+    @pytest.mark.parametrize("tail", ["garbage\n", "extra-row", "\n"],
+                             ids=["line", "extra-row", "blank-line"])
+    def test_apply_rejects_content_after_model(self, rng, tmp_path, capsys,
+                                               tail):
+        fpath = tmp_path / "feats.tsv"
+        save_features(FeatureMatrix(tuple(f"v{i}" for i in range(12)),
+                                    rng.normal(size=(12, 6))), fpath)
+        model_path = tmp_path / "m.pcaw"
+        assert run("preprocess-fit", "--features", fpath, "--pca-dim", "4",
+                   "--out", model_path) == 0
+        text = model_path.read_text()
+        if tail == "extra-row":
+            tail = text.split("\n")[-2] + "\n"
+        model_path.write_text(text + tail)
+        out_path = tmp_path / "proc.tsv"
+        assert run("preprocess-apply", "--model", model_path, "--features",
+                   fpath, "--out", out_path) == 2
+        assert not out_path.exists()
+        assert "end the model" in capsys.readouterr().err
+
 class TestPlans:
     def test_stdout_table(self, capsys):
         assert run("plans", "--width", "300", "--height", "300") == 0

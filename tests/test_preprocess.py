@@ -1,9 +1,11 @@
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import fixed_decimal_rows_oracle
 
 from featkit.errors import (
     ClampedDimensionWarning,
@@ -27,6 +29,8 @@ from featkit.preprocess import (
     save_pca_model,
     signed_power,
 )
+
+DATA = Path(__file__).parent / "data"
 
 # well-scaled components: zero or magnitude in [1e-6, 1e6]; squaring and
 # norm division stay far from float underflow
@@ -382,6 +386,20 @@ class TestPcawParser:
         with pytest.raises(MalformedFile):
             parse_pca_model_text("\n".join(lines))
 
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "garbage\n",
+        lambda text: text + "garbage",
+        lambda text: text + text.split("\n")[-2] + "\n",
+        lambda text: text + "\n",
+        lambda text: text + "\n\n",
+        lambda text: text[:-1],
+    ], ids=["line", "no-newline", "extra-row", "blank-line", "blank-lines",
+            "missing-newline"])
+    def test_text_ends_after_eigenvalue_row(self, edit):
+        text = edit(dump_pca_model_text(_edge_model()))
+        with pytest.raises(MalformedFile, match="end the model"):
+            parse_pca_model_text(text)
+
     def test_empty_line_inside_block(self):
         lines = dump_pca_model_text(_edge_model()).split("\n")
         lines.insert(3, "")
@@ -426,10 +444,19 @@ _grid_value = st.one_of(
     st.integers(-10**15, 10**15).map(lambda m: m / 1e15),
 )
 _FIXED = re.compile(r"-?[01]\.\d{15}")
+# k x d grid matrices with 1 <= k <= 4 and k <= d <= 9
+_grid_matrix = st.integers(1, 9).flatmap(lambda d: st.integers(
+    1, min(4, d)).flatmap(lambda k: st.lists(
+        st.lists(_grid_value, min_size=d, max_size=d),
+        min_size=k, max_size=k)))
 
 
 def _component_cells(text: str, k: int) -> list:
     return [c for ln in text.split("\n")[3 : 3 + k] for c in ln.split("\t")]
+
+
+def _component_text(text: str, k: int) -> str:
+    return "".join(ln + "\n" for ln in text.split("\n")[3 : 3 + k])
 
 
 class TestGridText:
@@ -447,6 +474,23 @@ class TestGridText:
         assert np.array_equal(_bits(back.components), _bits(comps))
         assert all(_FIXED.fullmatch(c) for c in _component_cells(text, k))
 
+    @given(_grid_matrix)
+    @example([[0.0, -0.0, 1.0, -1.0, 1e-15, -1e-15, 0.999999999999999,
+               -0.999999999999999]])
+    def test_grid_rows_equal_per_value_format(self, rows):
+        comps = np.array(rows)
+        k, d = comps.shape
+        model = PcaWhitenModel(np.zeros(d), comps,
+                               np.arange(k, 0, -1, dtype=float))
+        assert (_component_text(dump_pca_model_text(model), k)
+                == fixed_decimal_rows_oracle(comps))
+
+    def test_fitted_rows_equal_per_value_format(self, rng):
+        model = retrieval_pipeline_fit(rng.normal(size=(120, 70)),
+                                       PipelineConfig(pca_dim=50))
+        assert (_component_text(dump_pca_model_text(model), model.k)
+                == fixed_decimal_rows_oracle(model.components))
+
     def test_fitted_rows_use_fixed_format(self, rng):
         model = retrieval_pipeline_fit(rng.normal(size=(50, 9)),
                                        PipelineConfig(pca_dim=5))
@@ -463,8 +507,39 @@ class TestGridText:
         text = dump_pca_model_text(_edge_model())
         assert _component_cells(text, 2)[:3] == ["1e-05", "-0.0", "1e+16"]
 
+    def test_off_grid_model_in_unit_range_keeps_shortest_text(self):
+        model = PcaWhitenModel(np.zeros(2), np.array([[1.0 / 3.0, -0.1]]),
+                               np.ones(1))
+        assert _component_cells(dump_pca_model_text(model), 1) == [
+            "0.3333333333333333", "-0.1"]
+
     def test_grid_is_bounded_by_one(self):
         model = PcaWhitenModel(np.zeros(2), np.array([[0.5, 2.0]]),
                                np.ones(1))
         assert _component_cells(dump_pca_model_text(model), 1) == [
             "0.5", "2.0"]
+
+
+class TestPcaw1GridFixture:
+    """A small fitted PCAW1 chain committed as a file.
+
+    ``tests/data/pcaw1_grid_small.pcaw`` is ``featkit preprocess-fit
+    --pca-dim 8`` on 20 seeded 12-d Gaussian rows whose columns 5 and 9
+    were scaled by 1e-17, so their components round to signed zeros.  It
+    was written with one ``'%.15f'`` per component and is never
+    regenerated: it pins the component text of a fitted chain.
+    """
+
+    PATH = DATA / "pcaw1_grid_small.pcaw"
+
+    def test_fixture_holds_signed_zeros_and_negatives(self):
+        cells = _component_cells(self.PATH.read_text(), 8)
+        assert len(cells) == 8 * 12
+        assert all(_FIXED.fullmatch(c) for c in cells)
+        assert "-0.000000000000000" in cells
+        assert "0.000000000000000" in cells
+        assert any(c.startswith("-") and c.strip("-0.") for c in cells)
+
+    def test_load_then_dump_reproduces_bytes(self):
+        text = dump_pca_model_text(load_pca_model(self.PATH))
+        assert text.encode("utf-8") == self.PATH.read_bytes()

@@ -643,6 +643,18 @@ class TestOtidx1Fixture:
             load_index(bad)
         self._assert_query_fails(tmp_path, bad)
 
+    def test_content_after_chain_rejected_by_library_and_cli(self,
+                                                            tmp_path):
+        blob = (DATA / "otidx1_small.idx").read_bytes()
+        off, lines, end = self._split(blob)
+        text = ("\n".join(lines) + "not a number\n").encode()
+        bad = tmp_path / "tail.idx"
+        bad.write_bytes(blob[:off] + struct.pack("<I", len(text)) + text
+                        + blob[end:])
+        with pytest.raises(MalformedFile, match="end the model"):
+            load_index(bad)
+        self._assert_query_fails(tmp_path, bad)
+
     @pytest.mark.parametrize("count", [0, 1])
     def test_fewer_than_two_references_rejected(self, tmp_path, count):
         blob = (DATA / "otidx1_small.idx").read_bytes()
