@@ -266,6 +266,11 @@ def _require_same_ids(a, b, what: str) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    inputs = {"ap": ("scores", "truth"), "accuracy": ("predictions", "truth"),
+              "recall": ("ranking", "relevant")}[args.metric]
+    for name in inputs:
+        if getattr(args, name) is None:
+            raise ValueError(f"evaluate {args.metric} needs --{name}")
     class_rows, summary_rows = [], []
     if args.metric == "ap":
         classes, ids, scores = _read_scores(args.scores)
@@ -397,10 +402,11 @@ def _cmd_query(args) -> int:
     binding, to_image = _make_binding(args, need_dim=index.model.dim_in)
     queries = _manifest_images(args.queries, to_image)
     levels = index.config.h_q if args.h_q is None else args.h_q
-    patches = retrieval.extract_patches(binding, queries, levels)
+    _, raw = retrieval.extract_patches(binding, queries, levels)
     lines = []
-    for (qid, _), (_, raw) in zip(queries, patches):
-        ranked = retrieval.search(index, raw, h_q=levels, top_k=args.top_k)
+    for (qid, _), block in zip(queries, np.split(raw, len(queries))):
+        ranked = retrieval.search(index, block, h_q=levels,
+                                  top_k=args.top_k)
         for rank, (ref_id, dist) in enumerate(ranked, 1):
             lines.append(f"{qid}\t{rank}\t{ref_id}\t{fmt_float(dist)}")
     _write_text(args.out, "\n".join(lines) + "\n")

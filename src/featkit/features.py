@@ -116,6 +116,16 @@ class PixelGrid:
         return Rect(0, 0, self.width, self.height)
 
 
+def check_ids(ids: tuple, what: str) -> None:
+    """Raise ValueError unless every id is non-empty, free of tabs and
+    line breaks (the TSV and OTIDX1 separators) and unique."""
+    for i in ids:
+        if not i or "\t" in i or "\n" in i or "\r" in i:
+            raise ValueError(f"invalid {what} {i!r}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate {what}s")
+
+
 @dataclass(frozen=True)
 class FeatureMatrix:
     """Dense feature rows keyed by unique string ids.
@@ -137,11 +147,7 @@ class FeatureMatrix:
             )
         if a.shape[0] > 0 and a.shape[1] < 1:
             raise ValueError("feature dimension must be at least 1")
-        for i in ids:
-            if not i or "\t" in i or "\n" in i or "\r" in i:
-                raise ValueError(f"invalid feature id {i!r}")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate feature ids")
+        check_ids(ids, "feature id")
         if not np.all(np.isfinite(a)):
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "ids", ids)

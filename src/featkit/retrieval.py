@@ -26,6 +26,7 @@ from .extractors import TransformPlan
 from .features import (
     FeatureMatrix,
     Rect,
+    check_ids,
     fmt_float,
     iround,
     smallest_enclosing_square,
@@ -54,50 +55,43 @@ class SpatialSearchConfig:
 
 
 @dataclass(frozen=True)
-class ReferenceEntry:
-    """Processed patch vectors (and their source rects) for one image."""
-
-    ref_id: str
-    rects: tuple
-    vectors: np.ndarray  # (n_patches, k) float32
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(self.vectors, dtype=np.float32)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError("entry needs at least one patch vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"entry {self.ref_id!r} has a non-finite "
-                             "patch vector")
-        if self.rects and len(self.rects) != v.shape[0]:
-            raise ValueError("rect count does not match patch count")
-        object.__setattr__(self, "rects", tuple(self.rects))
-        object.__setattr__(self, "vectors", v)
-
-
-@dataclass(frozen=True)
 class RetrievalIndex:
-    entries: tuple
+    """N references: their ids, the source rects of each one's P =
+    patch_count(h_r) patches (empty when the binding has no image
+    geometry) and all processed patch vectors as one (N, P, k) float32
+    block, reference after reference."""
+
+    ids: tuple
+    rects: tuple
+    vectors: np.ndarray
     model: PcaWhitenModel
     config: SpatialSearchConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if len(self.entries) < 2:
+        ids, rects = tuple(self.ids), tuple(map(tuple, self.rects))
+        check_ids(ids, "reference id")
+        if len(ids) < 2:
             raise ValueError("an index needs at least two references")
-        expected = (patch_count(self.config.h_r), self.model.k)
-        for e in self.entries:
-            if e.vectors.shape != expected:
-                raise ValueError(
-                    f"entry {e.ref_id!r} has {e.vectors.shape} patch "
-                    f"vectors, expected {expected}"
-                )
+        v = np.ascontiguousarray(self.vectors, dtype=np.float32)
+        expected = (len(ids), patch_count(self.config.h_r), self.model.k)
+        if v.shape != expected:
+            raise ValueError(f"patch block {v.shape}, expected {expected}")
+        finite = np.isfinite(v).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"reference {ids[np.argmin(finite)]!r} has a "
+                             "non-finite patch vector")
+        if len(rects) != len(ids) or any(
+                r and len(r) != expected[1] for r in rects):
+            raise ValueError("rect count does not match patch count")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "rects", rects)
+        object.__setattr__(self, "vectors", v)
 
     @cached_property
     def patch_matrix(self):
-        """All reference patches stacked as one (N * P, k) float64 matrix,
-        entry after entry, with their squared norms; built on first use."""
-        refs = np.concatenate([e.vectors for e in self.entries])
-        refs = refs.astype(np.float64)
+        """The patch block as one (N * P, k) float64 matrix with its
+        squared row norms; built on first use."""
+        refs = self.vectors.reshape(-1, self.model.k).astype(np.float64)
         return refs, np.einsum("ij,ij->i", refs, refs)
 
 
@@ -134,35 +128,26 @@ def level_rects(width: int, height: int, levels: int) -> list:
     return out
 
 
-def _patch_requests(binding, image_id, image, levels: int):
-    """Rects and ``image_id#k`` extraction requests for one image's
-    patches; a binding with no image geometry gets no rects."""
+def extract_patches(binding, images, levels: int):
+    """The rects of each (id, image) pair's patches (none when the binding
+    has no image geometry), and all their raw patches as one
+    (images * patch_count(levels), dim) block, image after image, from
+    one ``binding.extract_batch`` call of ``image_id#k`` requests."""
     if levels < 1:
         raise ValueError("patch levels must be at least 1")
-    size = binding.image_size(image)
-    if size is None:
-        plans = [TransformPlan()] * patch_count(levels)
-        rects = ()
-    else:
-        rects = tuple(level_rects(*size, levels))
-        plans = [TransformPlan(crop=smallest_enclosing_square(r, *size))
-                 for r in rects]
-    return rects, [(f"{image_id}#{k}", image, plan)
-                   for k, plan in enumerate(plans)]
-
-
-def extract_patches(binding, images, levels: int) -> list:
-    """(rects, raw patch block) for each (id, image) pair, all extracted
-    by one ``binding.extract_batch`` call."""
-    per_image = [
-        _patch_requests(binding, image_id, image, levels)
-        for image_id, image in images
-    ]
-    raw = binding.extract_batch(
-        [req for _, requests in per_image for req in requests]
-    )
-    blocks = np.split(raw, len(per_image))
-    return [(rects, block) for (rects, _), block in zip(per_image, blocks)]
+    rects, requests = [], []
+    for image_id, image in images:
+        size = binding.image_size(image)
+        if size is None:
+            rects.append(())
+            plans = [TransformPlan()] * patch_count(levels)
+        else:
+            rects.append(tuple(level_rects(*size, levels)))
+            plans = [TransformPlan(crop=smallest_enclosing_square(r, *size))
+                     for r in rects[-1]]
+        requests += [(f"{image_id}#{k}", image, plan)
+                     for k, plan in enumerate(plans)]
+    return rects, binding.extract_batch(requests)
 
 
 def build_index(references, config: SpatialSearchConfig, binding
@@ -175,44 +160,48 @@ def build_index(references, config: SpatialSearchConfig, binding
     refs = list(references)
     if len(refs) < 2:
         raise EmptyInput("index construction needs at least two references")
-    patches = extract_patches(binding, refs, config.h_r)
-    pooled = np.vstack([raw for _, raw in patches])
-    model = retrieval_pipeline_fit(pooled, config.pipeline)
-    processed = retrieval_pipeline_apply(
-        model, config.pipeline, pooled, block=patch_count(config.h_r)
-    )
-    blocks = np.split(processed.astype(np.float32), len(refs))
-    entries = [
-        ReferenceEntry(ref_id, rects, block)
-        for (ref_id, _), (rects, _), block in zip(refs, patches, blocks)
-    ]
-    return RetrievalIndex(tuple(entries), model, config)
+    per_ref = patch_count(config.h_r)
+    rects, raw = extract_patches(binding, refs, config.h_r)
+    model = retrieval_pipeline_fit(raw, config.pipeline)
+    processed = retrieval_pipeline_apply(model, config.pipeline, raw,
+                                         block=per_ref)
+    return RetrievalIndex(tuple(ref_id for ref_id, _ in refs), rects,
+                          processed.reshape(len(refs), per_ref, -1),
+                          model, config)
 
 
-def query_distance(query_vecs, entry_vectors) -> float:
-    """Mean over query patches of the min distance to the reference.
+def query_distance(query_vecs, ref_vectors):
+    """Mean over query patches of the min distance to a reference.
 
-    The result equals, bit for bit, the brute-force form that takes
-    every pair distance as ``sqrt(sum((q_i - r_j)**2))`` and reduces
-    with min, then mean.  One matrix product gives every approximate
-    pair distance (``|q|^2 + |r|^2 - 2 q.r``, clamped at zero); only the
-    pairs within twice a rounding bound of their query patch's
-    approximate minimum get the exact form, with the same reductions.
+    ``ref_vectors`` is one reference's (P, k) patches, giving a float,
+    or a stack of C references (C, P, k), giving a (C,) array.  Each
+    distance equals, bit for bit, the brute-force form that takes every
+    pair distance as ``sqrt(sum((q_i - r_j)**2))`` and reduces with min,
+    then mean.  One matrix product gives every approximate pair distance
+    (``|q|^2 + |r|^2 - 2 q.r``, clamped at zero); only the pairs within
+    twice a rounding bound of their query patch's approximate minimum
+    over that reference get the exact form, with the same reductions.
     """
     q = np.asarray(query_vecs, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] < 1:
         raise EmptyInput("need at least one query patch")
-    r = np.asarray(entry_vectors, dtype=np.float64)
-    if r.ndim != 2 or q.shape[1] != r.shape[1]:
+    r = np.asarray(ref_vectors, dtype=np.float64)
+    if r.ndim not in (2, 3) or q.shape[1] != r.shape[-1]:
         raise DimMismatch(
             f"query patches {q.shape} vs reference patches {r.shape}"
         )
+    c, p, dim = (1, *r.shape) if r.ndim == 2 else r.shape
+    m = q.shape[0]
+    flat = r.reshape(c * p, dim)
     q_sq = np.einsum("ij,ij->i", q, q)
-    r_sq = np.einsum("ij,ij->i", r, r)
-    approx = q_sq[:, None] + r_sq[None, :] - 2.0 * (q @ r.T)
+    r_sq = np.einsum("ij,ij->i", flat, flat)
+    approx = q_sq[:, None] + r_sq[None, :] - 2.0 * (q @ flat.T)
     np.sqrt(np.maximum(approx, 0.0, out=approx), out=approx)
-    # Pair bound.  Let u be the unit roundoff and M = max|q_i| +
-    # max|r_j|, so M bounds every |q_i - r_j| and |q_i| + |r_j|.  Each
+    # (C, m, P): reference, query patch, reference patch
+    approx = approx.reshape(m, c, p).transpose(1, 0, 2)
+    # Pair bound, per reference.  Let u be the unit roundoff and M =
+    # max|q_i| + max|r_j| over the query's and that reference's patches,
+    # so M bounds every |q_i - r_j| and |q_i| + |r_j|.  Each
     # approximate squared distance sums three length-dim dot products
     # with two additions, so it is within (dim + 2) u M^2 of the true
     # one (to first order); its clamped, rounded root is within
@@ -225,14 +214,15 @@ def query_distance(query_vecs, entry_vectors) -> float:
     # approximate minimum plus 2 delta, so it is kept.  NaN compares
     # false and keeps its pair, so a NaN propagates as in brute force.
     u = np.finfo(np.float64).eps / 2.0
-    dim = q.shape[1]
-    big_m = float(np.sqrt(q_sq.max()) + np.sqrt(r_sq.max()))
+    big_m = np.sqrt(q_sq.max()) + np.sqrt(r_sq.reshape(c, p).max(axis=1))
     delta = 2.0 * big_m * (np.sqrt((dim + 2) * u) + (dim + 4) * u)
-    keep = ~(approx > approx.min(axis=1, keepdims=True) + 2.0 * delta)
-    qi, rj = np.nonzero(keep)
-    exact = np.sqrt(((q[qi] - r[rj]) ** 2).sum(axis=1))
-    starts = np.searchsorted(qi, np.arange(q.shape[0]))
-    return float(np.minimum.reduceat(exact, starts).mean())
+    keep = ~(approx > approx.min(axis=2, keepdims=True)
+             + 2.0 * delta[:, None, None])
+    ci, qi, pj = np.nonzero(keep)
+    exact = np.sqrt(((q[qi] - flat[ci * p + pj]) ** 2).sum(axis=1))
+    starts = np.searchsorted(ci * m + qi, np.arange(c * m))
+    dists = np.minimum.reduceat(exact, starts).reshape(c, m).mean(axis=1)
+    return float(dists[0]) if r.ndim == 2 else dists
 
 
 def query_patch_vectors(index: RetrievalIndex, query, binding,
@@ -255,7 +245,7 @@ def query_patch_vectors(index: RetrievalIndex, query, binding,
                 f"needs {patch_count(levels)}"
             )
     else:
-        [(_, raw)] = extract_patches(binding, [("q", query)], levels)
+        _, raw = extract_patches(binding, [("q", query)], levels)
     if not np.all(np.isfinite(raw)):
         raise ValueError("query patch features must be finite")
     processed = retrieval_pipeline_apply(
@@ -276,13 +266,14 @@ def search(index: RetrievalIndex, query, binding=None, *,
     One GEMM over ``index.patch_matrix`` gives every patch-to-patch
     squared distance as |q|^2 + |r|^2 - 2 q.r, and from it an
     approximate score per reference.  Only the references that can
-    still reach the top ``top_k`` are re-ranked with
-    :func:`query_distance`, so the result equals brute force exactly.
+    still reach the top ``top_k`` are re-ranked, by one stacked
+    :func:`query_distance` call, so the result equals brute force
+    exactly.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
     q = query_patch_vectors(index, query, binding, h_q)
-    n_refs = len(index.entries)
+    n_refs = len(index.ids)
     refs, ref_sq = index.patch_matrix
     q64 = q.astype(np.float64)
     q_sq = np.einsum("ij,ij->i", q64, q64)
@@ -305,10 +296,9 @@ def search(index: RetrievalIndex, query, binding=None, *,
     delta = 2.0 * big_m * (np.sqrt((dim + 2) * u) + (dim + 2 * m + 5) * u)
     keep = min(top_k, n_refs)
     kth = np.partition(approx, keep - 1)[keep - 1]
-    scored = sorted(
-        (query_distance(q, index.entries[i].vectors), index.entries[i].ref_id)
-        for i in np.flatnonzero(approx <= kth + 2.0 * delta)
-    )
+    candidates = np.flatnonzero(approx <= kth + 2.0 * delta)
+    dists = query_distance(q, index.vectors[candidates])
+    scored = sorted(zip(dists.tolist(), (index.ids[i] for i in candidates)))
     return [(ref_id, dist) for dist, ref_id in scored[:top_k]]
 
 
@@ -326,15 +316,16 @@ def save_index(index: RetrievalIndex, path) -> None:
         fh.write(cfg_line.encode("utf-8"))
         fh.write(struct.pack("<I", len(model_bytes)))
         fh.write(model_bytes)
-        fh.write(struct.pack("<I", len(index.entries)))
-        for e in index.entries:
-            fh.write(e.ref_id.encode("utf-8") + b"\n")
-            fh.write(struct.pack("<I", len(e.rects)))
-            for r in e.rects:
+        fh.write(struct.pack("<I", len(index.ids)))
+        shape = struct.pack("<II", *index.vectors.shape[1:])
+        for ref_id, rects, block in zip(index.ids, index.rects,
+                                        index.vectors):
+            fh.write(ref_id.encode("utf-8") + b"\n")
+            fh.write(struct.pack("<I", len(rects)))
+            for r in rects:
                 fh.write(struct.pack("<IIII", r.x, r.y, r.w, r.h))
-            n, k = e.vectors.shape
-            fh.write(struct.pack("<II", n, k))
-            fh.write(e.vectors.astype("<f4").tobytes(order="C"))
+            fh.write(shape)
+            fh.write(block.astype("<f4").tobytes(order="C"))
 
 
 def load_index(path) -> RetrievalIndex:
@@ -366,44 +357,38 @@ def load_index(path) -> RetrievalIndex:
     mlen, off = _u32(off)
     if off + mlen > len(blob):
         raise MalformedFile(f"{path}: truncated model block")
-    model = parse_pca_model_text(
-        blob[off : off + mlen].decode("utf-8"), path
-    )
-    off += mlen
-    n_refs, off = _u32(off)
-    entries = []
-    for _ in range(n_refs):
-        nl = blob.find(b"\n", off)
-        if nl < 0:
-            raise MalformedFile(f"{path}: truncated reference id")
-        ref_id = blob[off:nl].decode("utf-8")
-        off = nl + 1
-        n_rects, off = _u32(off)
-        rects = []
-        for _ in range(n_rects):
-            if off + 16 > len(blob):
-                raise MalformedFile(f"{path}: truncated rect block")
-            x, y, w, h = struct.unpack_from("<IIII", blob, off)
-            rects.append(Rect(x, y, w, h))
-            off += 16
-        n, off = _u32(off)
-        k, off = _u32(off)
-        need = n * k * 4
-        if off + need > len(blob):
-            raise MalformedFile(f"{path}: truncated vector block")
-        vectors = np.frombuffer(
-            blob, dtype="<f4", count=n * k, offset=off
-        ).reshape(n, k)
-        off += need
-        try:
-            entries.append(ReferenceEntry(ref_id, tuple(rects), vectors))
-        except ValueError as exc:
-            raise MalformedFile(f"{path}: {exc}") from exc
-    if off != len(blob):
-        raise MalformedFile(f"{path}: trailing bytes")
+    view = memoryview(blob)
+    ids, rects, blocks = [], [], []
     try:
-        return RetrievalIndex(tuple(entries), model, config)
+        text = blob[off : off + mlen].decode("utf-8")
+        model = parse_pca_model_text(text, path)
+        expected = (patch_count(config.h_r), model.k)
+        n_refs, off = _u32(off + mlen)
+        for _ in range(n_refs):
+            nl = blob.find(b"\n", off)
+            if nl < 0:
+                raise MalformedFile(f"{path}: truncated reference id")
+            ids.append(blob[off:nl].decode("utf-8"))
+            n_rects, off = _u32(nl + 1)
+            if off + 16 * n_rects > len(blob):
+                raise MalformedFile(f"{path}: truncated rect block")
+            rects.append(tuple(
+                Rect(*struct.unpack_from("<IIII", blob, off + 16 * j))
+                for j in range(n_rects)
+            ))
+            n, off = _u32(off + 16 * n_rects)
+            k, off = _u32(off)
+            if (n, k) != expected:
+                raise ValueError(f"reference {ids[-1]!r} has {(n, k)} patch "
+                                 f"vectors, expected {expected}")
+            blocks.append(view[off : off + n * k * 4])
+            off += n * k * 4
+            if off > len(blob):
+                raise MalformedFile(f"{path}: truncated vector block")
+        if off != len(blob):
+            raise MalformedFile(f"{path}: trailing bytes")
+        vectors = np.frombuffer(b"".join(blocks), dtype="<f4")
+        return RetrievalIndex(tuple(ids), tuple(rects),
+                              vectors.reshape(-1, *expected), model, config)
     except ValueError as exc:
         raise MalformedFile(f"{path}: {exc}") from exc
-
-

@@ -371,9 +371,8 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
             ConvergenceWarning,
             stacklevel=2,
         )
-    obj = objective(w, xa, ya, c)
     return BinaryModel(
-        w=w, C_used=c, objective_value=obj, bias=cfg.bias,
+        w=w, C_used=c, objective_value=primal, bias=cfg.bias,
         stats=SolverStats(epochs, visits, gap, converged, steps, tries),
     )
 

@@ -412,6 +412,22 @@ class TestEvaluate:
         assert float(rows["q2"]) == 1.0
         assert float(rows["recall@2"]) == 1.0
 
+    @pytest.mark.parametrize("metric, missing, given", [
+        ("ap", "scores", "truth"), ("ap", "truth", "scores"),
+        ("accuracy", "predictions", "truth"),
+        ("accuracy", "truth", "predictions"),
+        ("recall", "ranking", "relevant"), ("recall", "relevant", "ranking"),
+    ])
+    def test_missing_input_exit_2(self, tmp_path, capsys, metric, missing,
+                                  given):
+        path = tmp_path / f"{given}.tsv"
+        path.write_text("a\tx\n")
+        argv = ["evaluate", metric, f"--{given}", path]
+        report = tmp_path / "eval.tsv"
+        assert run(*argv, "--out", report) == 2
+        assert f"--{missing}" in capsys.readouterr().err
+        assert not report.exists()
+
 
 class TestIndexQuery:
     def test_index_query_crop_provenance(self, pgm_corpus, tmp_path):

@@ -1,9 +1,11 @@
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from featkit import retrieval
 from featkit.errors import (
     DegenerateImage,
     DimMismatch,
@@ -20,7 +22,6 @@ from featkit.features import (
 )
 from featkit.preprocess import PipelineConfig
 from featkit.retrieval import (
-    ReferenceEntry,
     RetrievalIndex,
     SpatialSearchConfig,
     build_index,
@@ -221,6 +222,44 @@ class TestPrunedDistanceIsBitExact:
         assert np.isnan(query_distance(q, r))
         assert np.isnan(query_distance_broadcast(q, r))
 
+    def test_stacked_references(self):
+        """A (C, P, k) stack gives each reference's own distance: stacks
+        hold duplicated references, the query's own patches and a
+        one-ulp twin of another reference."""
+        rng = np.random.default_rng(20141019)
+        for trial in range(300):
+            m = int(rng.integers(1, 20))
+            p = int(rng.integers(1, 35))
+            dim = int(rng.choice([1, 3, 8, 12, 64, 500]))
+            c = int(rng.integers(1, 8))
+            q, r0 = _near_tie_case(rng, m, p, dim)
+            stack = np.stack([r0] + [
+                _near_tie_case(rng, m, p, dim)[1] for _ in range(c - 1)
+            ])
+            stack[rng.integers(c)] = r0  # duplicated reference
+            if p >= m:
+                stack[rng.integers(c), :m] = q  # self-match
+            twin = stack[rng.integers(c)].copy()
+            i = rng.integers(twin.size)
+            twin.flat[i] = np.nextafter(twin.flat[i], np.float32(np.inf))
+            stack = np.concatenate([stack, twin[None]])
+            got = query_distance(q, stack)
+            assert got.shape == (c + 1,)
+            for j, ref in enumerate(stack):
+                assert got[j] == query_distance_broadcast(q, ref), (
+                    trial, j, m, p, dim
+                )
+                assert got[j] == query_distance(q, ref)
+
+    def test_stacked_nan_stays_in_its_reference(self, rng):
+        q = rng.normal(size=(4, 6))
+        stack = rng.normal(size=(3, 9, 6))
+        stack[1, 5, 2] = np.nan
+        got = query_distance(q, stack)
+        assert np.isnan(got[1])
+        for j in (0, 2):
+            assert got[j] == query_distance_broadcast(q, stack[j])
+
 
 class TestBuildIndex:
     def test_patch_counts_and_dims(self, rng):
@@ -228,10 +267,11 @@ class TestBuildIndex:
         toy = ToyPixelExtractor(4)
         with pytest.warns(UserWarning):
             index = build_index(corpus, _small_config(), toy)
-        assert len(index.entries) == 4
-        for e in index.entries:
-            assert e.vectors.shape == (30, index.model.k)
-            assert len(e.rects) == 30
+        assert len(index.ids) == 4
+        assert index.vectors.shape == (4, 30, index.model.k)
+        assert index.vectors.dtype == np.float32
+        for rects in index.rects:
+            assert len(rects) == 30
 
     def test_deterministic_bytes(self, rng, tmp_path):
         corpus = _toy_corpus(rng, n=3)
@@ -256,9 +296,9 @@ class TestBuildIndex:
         cfg = _small_config(h_r=1, h_q=1)
         with pytest.warns(UserWarning):
             index = build_index(corpus, cfg, toy)
-        for e, (rid, grid) in zip(index.entries, corpus):
-            assert e.vectors.shape[0] == 1
-            assert e.rects == (Rect(0, 0, grid.width, grid.height),)
+        assert index.vectors.shape[1] == 1
+        for rects, (rid, grid) in zip(index.rects, corpus):
+            assert rects == (Rect(0, 0, grid.width, grid.height),)
 
     def test_entry_vectors_unit_length_before_power(self, rng):
         # undo the signed square: sqrt(|v|) recovers the unit vector
@@ -267,10 +307,9 @@ class TestBuildIndex:
         toy = ToyPixelExtractor(4)
         with pytest.warns(UserWarning):
             index = build_index(corpus, _small_config(), toy)
-        for e in index.entries:
-            pre = np.sqrt(np.abs(e.vectors.astype(np.float64)))
-            norms = np.linalg.norm(pre, axis=1)
-            assert np.abs(norms - 1.0).max() <= 1e-6
+        pre = np.sqrt(np.abs(index.vectors.astype(np.float64)))
+        norms = np.linalg.norm(pre, axis=2)
+        assert np.abs(norms - 1.0).max() <= 1e-6
 
     def test_file_backed_patches(self, rng):
         n_patches = patch_count(2)
@@ -284,8 +323,8 @@ class TestBuildIndex:
         refs = [(f"ref{r}", None) for r in range(3)]
         with pytest.warns(UserWarning):
             index = build_index(refs, _small_config(h_r=2, h_q=1), binding)
-        assert all(e.vectors.shape[0] == n_patches for e in index.entries)
-        assert all(e.rects == () for e in index.entries)
+        assert index.vectors.shape[:2] == (3, n_patches)
+        assert index.rects == ((),) * 3
 
 
 class TestSearch:
@@ -330,6 +369,21 @@ class TestSearch:
             )
             assert [rid for _, rid in transformed] == ids
 
+    def test_candidates_scored_by_one_distance_call(self, rng,
+                                                    monkeypatch):
+        index, raw = _file_backed_index(rng, n_refs=8)
+        calls = []
+
+        def counted(q, refs):
+            calls.append(np.shape(refs))
+            return query_distance(q, refs)
+
+        monkeypatch.setattr(retrieval, "query_distance", counted)
+        for top_k in (1, 3, 8):
+            calls.clear()
+            assert len(search(index, raw["r3"], top_k=top_k)) == top_k
+            assert len(calls) == 1 and len(calls[0]) == 3
+
     def test_crop_queries_rank_source_first(self, rng):
         corpus = _toy_corpus(rng, n=8, size=48)
         toy = ToyPixelExtractor(4)
@@ -356,22 +410,26 @@ def _file_backed_index(rng, n_refs, h_r=2, h_q=2, dim=12, pca_dim=8):
 
 
 def _near_twins(rng, index, count):
-    """Copies of random entries with one component moved one float32 ulp."""
+    """Copies of random references with one component moved one float32
+    ulp."""
     twins = []
     for t in range(count):
-        src = index.entries[rng.integers(len(index.entries))]
-        vecs = src.vectors.copy()
+        vecs = index.vectors[rng.integers(len(index.ids))].copy()
         i, j = rng.integers(vecs.shape[0]), rng.integers(vecs.shape[1])
         vecs[i, j] = np.nextafter(vecs[i, j], np.float32(np.inf))
-        twins.append(ReferenceEntry(f"t{t}", (), vecs))
-    return RetrievalIndex(index.entries + tuple(twins), index.model,
-                          index.config)
+        twins.append(vecs)
+    return RetrievalIndex(
+        index.ids + tuple(f"t{t}" for t in range(count)),
+        index.rects + ((),) * count,
+        np.concatenate([index.vectors, np.stack(twins)]),
+        index.model, index.config,
+    )
 
 
 def _brute_force(index, q):
     scored = sorted(
-        (query_distance_oracle(q, e.vectors), e.ref_id)
-        for e in index.entries
+        (query_distance_oracle(q, vecs), ref_id)
+        for ref_id, vecs in zip(index.ids, index.vectors)
     )
     return [(ref_id, dist) for dist, ref_id in scored]
 
@@ -382,7 +440,7 @@ class TestSearchEqualsBruteForce:
         for trial in range(12):
             base, raw = _file_backed_index(rng, n_refs=int(rng.integers(4, 9)))
             index = _near_twins(rng, base, count=4)
-            n = len(index.entries)
+            n = len(index.ids)
             src = f"r{rng.integers(2, n - 4)}"
             queries = [
                 raw[src][::-1].copy(),  # self-match
@@ -411,8 +469,8 @@ class TestSearchEqualsBruteForce:
         index = _near_twins(rng, index, count=6)
         raw_q = rng.normal(size=(patch_count(2), 12))
         q = query_patch_vectors(index, raw_q, None)
-        exact = {e.ref_id: query_distance(q, e.vectors)
-                 for e in index.entries}
+        exact = {ref_id: query_distance(q, vecs)
+                 for ref_id, vecs in zip(index.ids, index.vectors)}
         gaps = sorted(np.diff(sorted(exact.values())))
         assert 0.0 < gaps[sum(g == 0.0 for g in gaps)] < 1e-6
         ranked = search(index, raw_q, top_k=len(exact))
@@ -441,6 +499,20 @@ class TestSearchRejectsBadQueries:
         assert len(search(index, store, h_q=2, top_k=3)) == 3
 
 
+class TestReferenceIds:
+    """Reference ids follow the feature id rule, as OTIDX1 and the
+    ranking TSV need."""
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("ids", [
+        ("a\nb", "c"), ("a\rb", "c"), ("a\tb", "c"), ("", "c"), ("a", "a"),
+    ])
+    def test_bad_ids_rejected_by_build_index(self, rng, ids):
+        corpus = [(ref_id, _texture(rng)) for ref_id in ids]
+        with pytest.raises(ValueError, match="reference id"):
+            build_index(corpus, _small_config(), ToyPixelExtractor(3))
+
+
 class TestIndexPersistence:
     def test_roundtrip_bit_exact_rankings(self, rng, tmp_path):
         corpus = _toy_corpus(rng, n=5)
@@ -451,10 +523,9 @@ class TestIndexPersistence:
         save_index(index, p)
         back = load_index(p)
         assert back.config == index.config
-        for a, b in zip(back.entries, index.entries):
-            assert a.ref_id == b.ref_id
-            assert a.rects == b.rects
-            assert np.array_equal(a.vectors, b.vectors)
+        assert back.ids == index.ids
+        assert back.rects == index.rects
+        assert np.array_equal(back.vectors, index.vectors)
         query = corpus[3][1]
         assert search(back, query, toy, top_k=5) == search(
             index, query, toy, top_k=5
@@ -491,8 +562,11 @@ class TestIndexPersistence:
 
 
 def test_entry_validation(rng):
+    index, _ = _file_backed_index(rng, n_refs=3)
+    one_rect = ((Rect(0, 0, 1, 1),), (), ())
     with pytest.raises(ValueError):
-        ReferenceEntry("r", (Rect(0, 0, 1, 1),), rng.normal(size=(2, 3)))
+        RetrievalIndex(index.ids, one_rect, index.vectors, index.model,
+                       index.config)
 
 
 def _self_match_setup(binding_kind, h_r, dim, rng):
@@ -533,8 +607,8 @@ class TestSelfMatchExactlyZero:
         with pytest.warns(UserWarning):
             index = build_index(refs, cfg, binding)
         tile = np.arange(patch_count(h_q)) % patch_count(h_r)
-        raws = extract_patches(binding, refs, h_r)
-        for (ref_id, image), (_, raw) in zip(refs, raws):
+        _, raws = extract_patches(binding, refs, h_r)
+        for (ref_id, image), raw in zip(refs, np.split(raws, len(refs))):
             assert search(index, raw[tile], top_k=1) == [(ref_id, 0.0)]
             if binding_kind == "toy" and h_q <= h_r:
                 assert search(index, image, binding, top_k=1) == [
@@ -654,6 +728,51 @@ class TestOtidx1Fixture:
         with pytest.raises(MalformedFile, match="end the model"):
             load_index(bad)
         self._assert_query_fails(tmp_path, bad)
+
+    @pytest.mark.parametrize("ref_id", [b"", b"r\t0", b"r\r0", b"ref1"])
+    def test_bad_reference_id_rejected_by_library_and_cli(self, tmp_path,
+                                                          ref_id):
+        blob = (DATA / "otidx1_small.idx").read_bytes()
+        _, _, end = self._split(blob)
+        start = end + 4  # the first id, "ref0"
+        bad = tmp_path / "id.idx"
+        bad.write_bytes(blob[:start] + ref_id
+                        + blob[blob.index(b"\n", start):])
+        with pytest.raises(MalformedFile, match="reference id"):
+            load_index(bad)
+        self._assert_query_fails(tmp_path, bad)
+
+    @pytest.mark.parametrize("where", ["chain", "id"])
+    def test_undecodable_text_rejected_by_library_and_cli(self, tmp_path,
+                                                          where):
+        blob = bytearray((DATA / "otidx1_small.idx").read_bytes())
+        off, _, end = self._split(bytes(blob))
+        blob[off + 4 + 5 if where == "chain" else end + 4] = 0xFF
+        bad = tmp_path / "utf8.idx"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(MalformedFile, match=re.escape(f"{bad}: 'utf-8'")):
+            load_index(bad)
+        self._assert_query_fails(tmp_path, bad)
+
+    def test_zero_sized_rect_rejected_by_library_and_cli(self, tmp_path,
+                                                         capsys):
+        blob = (DATA / "otidx1_small.idx").read_bytes()
+        _, _, end = self._split(blob)
+        pos = blob.index(b"\n", end + 4) + 1  # the first rect count, 0
+        rects = [(0, 0, 4, 4)] * 5
+        rects[2] = (0, 0, 0, 4)
+        bad = tmp_path / "rect.idx"
+        bad.write_bytes(
+            blob[:pos] + struct.pack("<I", 5)
+            + b"".join(struct.pack("<IIII", *r) for r in rects)
+            + blob[pos + 4:]
+        )
+        message = "rect sides must be positive"
+        with pytest.raises(MalformedFile,
+                           match=re.escape(f"{bad}: {message}")):
+            load_index(bad)
+        self._assert_query_fails(tmp_path, bad)
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_fewer_than_two_references_rejected(self, tmp_path, count):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,15 @@ class TestShrinking:
         assert m.stats.converged
         assert m.stats.gap <= cfg.tol * (1.0 + abs(obj))
         assert m.stats.visits < m.stats.epochs * x.shape[0]
+
+    @pytest.mark.filterwarnings("ignore::featkit.errors.ConvergenceWarning")
+    @pytest.mark.parametrize("max_epochs", [1, 10000])
+    @pytest.mark.parametrize("case", SHRINKING_CASES)
+    def test_objective_value_is_objective_of_w(self, case, max_epochs):
+        x, y, cfg = _shrinking_instance(1, *case)
+        m = train_binary(x, y, replace(cfg, max_epochs=max_epochs))
+        xa = np.hstack([x, np.ones((len(x), 1))]) if cfg.bias else x
+        assert m.objective_value == objective(m.w, xa, y, cfg.C)
 
     def test_rerun_bit_identical(self):
         x, y, cfg = _shrinking_instance(0, 2.0, True)

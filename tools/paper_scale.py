@@ -20,12 +20,12 @@ disk.
 retrieval does: each reference has 30 patches (4 levels) of 4096-d rows
 around its own mean, and the chain reduces them to 500 dimensions.  It
 times the chain fit, the per-reference block apply, ``save_index`` to a
-temporary file, ``load_index``, the stacking of the loaded patches for
-search, and a few searches, each query being 14 (3 levels) of a
-reference's own patches.  It prints tab-separated lines: the input shape
-and size, the RSS before the fit, each stage's seconds, the index bytes,
-how many searches ranked their own reference first at distance 0.0, and
-the process's peak RSS.
+temporary file, ``load_index``, the float64 copy of the loaded patch
+block that search uses, and a few searches, each query being 14 (3
+levels) of a reference's own patches.  It prints tab-separated lines:
+the input shape and size, the RSS before the fit, each stage's seconds,
+the index bytes, how many searches ranked their own reference first at
+distance 0.0, and the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from featkit.preprocess import (  # noqa: E402
     retrieval_pipeline_fit,
 )
 from featkit.retrieval import (  # noqa: E402
-    ReferenceEntry,
     RetrievalIndex,
     SpatialSearchConfig,
     load_index,
@@ -135,9 +134,9 @@ def _index(refs: int) -> None:
         model = _timed("fit", retrieval_pipeline_fit, x, cfg)
     processed = _timed("apply", retrieval_pipeline_apply, model, cfg, x,
                        block=per_ref)
-    blocks = np.split(processed.astype(np.float32), refs)
     index = RetrievalIndex(
-        tuple(ReferenceEntry(f"r{i}", (), b) for i, b in enumerate(blocks)),
+        tuple(f"r{i}" for i in range(refs)), ((),) * refs,
+        processed.reshape(refs, per_ref, -1),
         model, config,
     )
     with tempfile.TemporaryDirectory() as tmp:
