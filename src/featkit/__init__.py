@@ -40,7 +40,6 @@ from .metrics import (
 )
 from .preprocess import (
     PcaWhitenModel,
-    PipelineConfig,
     l2_normalize,
     load_pca_model,
     pca_fit,

@@ -42,7 +42,6 @@ from .features import (
     single_labels,
 )
 from .preprocess import (
-    PipelineConfig,
     load_pca_model,
     retrieval_pipeline_apply,
     retrieval_pipeline_fit,
@@ -338,9 +337,19 @@ def _read_ranking(path):
             rank = int(parts[1])
         except ValueError as exc:
             raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-        out.setdefault(parts[0], []).append((rank, parts[2]))
+        if rank < 1:
+            raise MalformedFile(f"{path}:{lineno}: rank must be at least 1")
+        qid, ref = parts[0], parts[2]
+        ranks, refs = out.setdefault(qid, ({}, set()))
+        if rank in ranks or ref in refs:
+            what = f"rank {rank}" if rank in ranks else f"reference {ref!r}"
+            raise MalformedFile(
+                f"{path}:{lineno}: query {qid!r} lists {what} twice"
+            )
+        ranks[rank] = ref
+        refs.add(ref)
     return {
-        q: [ref for _, ref in sorted(rows)] for q, rows in out.items()
+        q: [ranks[r] for r in sorted(ranks)] for q, (ranks, _) in out.items()
     }
 
 
@@ -386,9 +395,8 @@ def _manifest_images(path, to_image):
 
 def _cmd_index(args) -> int:
     config = retrieval.SpatialSearchConfig(
-        h_r=args.h_r,
-        h_q=args.h_q,
-        pipeline=PipelineConfig(args.pca_dim, args.power, args.epsilon),
+        h_r=args.h_r, h_q=args.h_q, pca_dim=args.pca_dim, power=args.power,
+        epsilon=args.epsilon,
     )
     binding, to_image = _make_binding(args)
     refs = _manifest_images(args.images, to_image)
@@ -415,8 +423,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_preprocess_fit(args) -> int:
     matrix = load_features(args.features, args.format)
-    cfg = PipelineConfig(args.pca_dim, 2.0, args.epsilon)
-    model = retrieval_pipeline_fit(matrix, cfg)
+    model = retrieval_pipeline_fit(matrix, args.pca_dim, args.epsilon)
     _atomic_write(args.out, lambda p: save_pca_model(model, p))
     return 0
 
@@ -424,9 +431,8 @@ def _cmd_preprocess_fit(args) -> int:
 def _cmd_preprocess_apply(args) -> int:
     model = load_pca_model(args.model)
     matrix = load_features(args.features, args.format)
-    cfg = PipelineConfig(model.k, args.power, model.epsilon)
     out = FeatureMatrix(
-        matrix.ids, retrieval_pipeline_apply(model, cfg, matrix.values)
+        matrix.ids, retrieval_pipeline_apply(model, args.power, matrix.values)
     )
     _atomic_write(
         args.out, lambda p: save_features(out, p, args.out_format)
@@ -489,6 +495,15 @@ def _add_extractor_args(p) -> None:
     )
 
 
+def _add_config_args(p, config_cls, *fields) -> None:
+    """One option per named field of ``config_cls``, taking the field's
+    default and its type: ``max_epochs`` becomes ``--max-epochs``."""
+    for name in fields:
+        default = getattr(config_cls, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=default)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="featkit",
@@ -507,9 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="features hold id#0..id#15 representation rows",
     )
     p.add_argument("--no-bias", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-epochs", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_args(p, svm.SolverConfig, "tol", "max_epochs", "seed")
     p.add_argument("--model-out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=_cmd_train)
@@ -540,11 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build a retrieval index")
     p.add_argument("--images", required=True, help="reference manifest TSV")
     _add_extractor_args(p)
-    p.add_argument("--h-r", type=int, default=4)
-    p.add_argument("--h-q", type=int, default=3)
-    p.add_argument("--pca-dim", type=int, default=500)
-    p.add_argument("--power", type=float, default=2.0)
-    p.add_argument("--epsilon", type=float, default=1e-10)
+    _add_config_args(p, retrieval.SpatialSearchConfig, "h_r", "h_q",
+                     "pca_dim", "power", "epsilon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index)
 
@@ -561,8 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         "preprocess-fit", help="fit the feature-processing chain"
     )
     _add_feature_args(p)
-    p.add_argument("--pca-dim", type=int, default=500)
-    p.add_argument("--epsilon", type=float, default=1e-10)
+    _add_config_args(p, retrieval.SpatialSearchConfig, "pca_dim", "epsilon")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess_fit)
 
@@ -571,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--model", required=True)
     _add_feature_args(p)
-    p.add_argument("--power", type=float, default=2.0)
+    _add_config_args(p, retrieval.SpatialSearchConfig, "power")
     p.add_argument(
         "--out-format", choices=("tsv", "binary"), default="tsv"
     )
@@ -586,10 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("augment", "positive", "negative", "crops", "patches"),
         default="augment",
     )
-    p.add_argument("--fraction", type=float, default=4.0 / 9.0)
+    p.add_argument("--fraction", type=float,
+                   default=augment.AugmentConfig.crop_area_fraction)
     p.add_argument(
-        "--angles", type=float, nargs=2, default=[20.0, -20.0],
-        metavar=("A1", "A2"),
+        "--angles", type=float, nargs=2,
+        default=augment.AugmentConfig.rotation_angles, metavar=("A1", "A2"),
     )
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--out")

@@ -50,25 +50,15 @@ def l2_normalize(v) -> np.ndarray:
 
 def signed_power(v, p: float) -> np.ndarray:
     """Component-wise sign(x) * |x|**p; p=1 is the identity."""
-    if p <= 0:
-        raise ValueError("power must be positive")
+    check_power_epsilon(p)
     a = np.asarray(v, dtype=np.float64)
     return np.sign(a) * np.abs(a) ** p
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for the retrieval feature chain."""
-
-    pca_dim: int = 500
-    power: float = 2.0
-    epsilon: float = 1e-10
-
-    def __post_init__(self):
-        if self.pca_dim < 1:
-            raise ValueError("pca_dim must be at least 1")
-        if not (0 < self.power < np.inf and 0 < self.epsilon < np.inf):
-            raise ValueError("power and epsilon must be positive and finite")
+def check_power_epsilon(*values: float) -> None:
+    """Reject a chain power or epsilon that is not positive and finite."""
+    if not all(0 < v < np.inf for v in values):
+        raise ValueError("power and epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -205,31 +195,34 @@ def pca_whiten_apply(model: PcaWhitenModel, v, block: int = 1
     return out[0] if a.ndim == 1 else out
 
 
-def retrieval_pipeline_fit(x, cfg: PipelineConfig = PipelineConfig()
+def retrieval_pipeline_fit(x, pca_dim: int, epsilon: float
                            ) -> PcaWhitenModel:
     """Fit the chain's basis on the rows of ``x`` scaled to unit length,
     by the same :func:`_unit_rows` that :func:`retrieval_pipeline_apply`
     scales its input with.
 
-    ``cfg.pca_dim`` is clamped to min(n - 1, d) with a warning, so small
+    ``pca_dim`` is clamped to min(n - 1, d) with a warning, so small
     corpora still fit.
     """
+    if pca_dim < 1:
+        raise ValueError("pca_dim must be at least 1")
+    check_power_epsilon(epsilon)
     a = x.values if isinstance(x, FeatureMatrix) else np.asarray(x, float)
     if a.ndim != 2 or a.shape[0] < 2:
         raise ValueError("pipeline fit needs a 2-D matrix with n >= 2 rows")
     n, d = a.shape
-    k = min(cfg.pca_dim, n - 1, d)
-    if k < cfg.pca_dim:
+    k = min(pca_dim, n - 1, d)
+    if k < pca_dim:
         warnings.warn(
-            f"pca_dim {cfg.pca_dim} clamped to {k} for {n}x{d} data",
+            f"pca_dim {pca_dim} clamped to {k} for {n}x{d} data",
             ClampedDimensionWarning,
             stacklevel=2,
         )
-    return pca_fit(_unit_rows(a), k, cfg.epsilon)
+    return pca_fit(_unit_rows(a), k, epsilon)
 
 
-def retrieval_pipeline_apply(model: PcaWhitenModel, cfg: PipelineConfig,
-                             v, block: int = 1) -> np.ndarray:
+def retrieval_pipeline_apply(model: PcaWhitenModel, power: float, v,
+                             block: int = 1) -> np.ndarray:
     """Full chain for one vector (d,) or for each row of (n, d).
 
     Output has ``model.k`` columns; a 1-D input is a batch of one.  The
@@ -239,13 +232,14 @@ def retrieval_pipeline_apply(model: PcaWhitenModel, cfg: PipelineConfig,
     the BLAS build and thread count, never on the other rows' contents.
     The default ``block=1`` makes each row equal the one-vector chain.
     """
+    check_power_epsilon(power)
     a = np.asarray(v, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
     z = pca_whiten_apply(model, _unit_rows(np.atleast_2d(a)), block)
-    out = signed_power(_unit_rows(z), cfg.power)
+    out = signed_power(_unit_rows(z), power)
     return out[0] if a.ndim == 1 else out
 
 

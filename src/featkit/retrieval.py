@@ -11,11 +11,12 @@ distance to any reference patch.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .augment import plan_representation_id
 from .errors import (
     DegenerateImage,
     DimMismatch,
@@ -33,7 +34,7 @@ from .features import (
 )
 from .preprocess import (
     PcaWhitenModel,
-    PipelineConfig,
+    check_power_epsilon,
     dump_pca_model_text,
     parse_pca_model_text,
     retrieval_pipeline_apply,
@@ -45,13 +46,20 @@ INDEX_MAGIC = b"OTIDX1\n"
 
 @dataclass(frozen=True)
 class SpatialSearchConfig:
+    """An OTIDX1 config line: patch levels, then the chain's values."""
+
     h_r: int = 4
     h_q: int = 3
-    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
+    pca_dim: int = 500
+    power: float = 2.0
+    epsilon: float = 1e-10
 
     def __post_init__(self):
         if self.h_r < 1 or self.h_q < 1:
             raise ValueError("h_r and h_q must be at least 1")
+        if self.pca_dim < 1:
+            raise ValueError("pca_dim must be at least 1")
+        check_power_epsilon(self.power, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,8 @@ class RetrievalIndex:
     """N references: their ids, the source rects of each one's P =
     patch_count(h_r) patches (empty when the binding has no image
     geometry) and all processed patch vectors as one (N, P, k) float32
-    block, reference after reference."""
+    block, reference after reference.  The chain must be the one the
+    config fits: the config's epsilon and at most ``pca_dim`` columns."""
 
     ids: tuple
     rects: tuple
@@ -72,6 +81,10 @@ class RetrievalIndex:
         check_ids(ids, "reference id")
         if len(ids) < 2:
             raise ValueError("an index needs at least two references")
+        if not (self.model.epsilon == self.config.epsilon
+                and self.model.k <= self.config.pca_dim):
+            raise ValueError("config pca_dim or epsilon disagrees with the "
+                             "chain")
         v = np.ascontiguousarray(self.vectors, dtype=np.float32)
         expected = (len(ids), patch_count(self.config.h_r), self.model.k)
         if v.shape != expected:
@@ -145,7 +158,7 @@ def extract_patches(binding, images, levels: int):
             rects.append(tuple(level_rects(*size, levels)))
             plans = [TransformPlan(crop=smallest_enclosing_square(r, *size))
                      for r in rects[-1]]
-        requests += [(f"{image_id}#{k}", image, plan)
+        requests += [(plan_representation_id(image_id, k), image, plan)
                      for k, plan in enumerate(plans)]
     return rects, binding.extract_batch(requests)
 
@@ -162,8 +175,8 @@ def build_index(references, config: SpatialSearchConfig, binding
         raise EmptyInput("index construction needs at least two references")
     per_ref = patch_count(config.h_r)
     rects, raw = extract_patches(binding, refs, config.h_r)
-    model = retrieval_pipeline_fit(raw, config.pipeline)
-    processed = retrieval_pipeline_apply(model, config.pipeline, raw,
+    model = retrieval_pipeline_fit(raw, config.pca_dim, config.epsilon)
+    processed = retrieval_pipeline_apply(model, config.power, raw,
                                          block=per_ref)
     return RetrievalIndex(tuple(ref_id for ref_id, _ in refs), rects,
                           processed.reshape(len(refs), per_ref, -1),
@@ -249,7 +262,7 @@ def query_patch_vectors(index: RetrievalIndex, query, binding,
     if not np.all(np.isfinite(raw)):
         raise ValueError("query patch features must be finite")
     processed = retrieval_pipeline_apply(
-        index.model, index.config.pipeline, raw,
+        index.model, index.config.power, raw,
         block=patch_count(index.config.h_r),
     )
     return processed.astype(np.float32)
@@ -305,13 +318,12 @@ def search(index: RetrievalIndex, query, binding=None, *,
 def save_index(index: RetrievalIndex, path) -> None:
     """Binary container; reload reproduces rankings bit-exactly."""
     cfg = index.config
-    pl = cfg.pipeline
     model_bytes = dump_pca_model_text(index.model).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(INDEX_MAGIC)
         cfg_line = (
-            f"{cfg.h_r}\t{cfg.h_q}\t{pl.pca_dim}\t{fmt_float(pl.power)}\t"
-            f"{fmt_float(pl.epsilon)}\n"
+            f"{cfg.h_r}\t{cfg.h_q}\t{cfg.pca_dim}\t{fmt_float(cfg.power)}\t"
+            f"{fmt_float(cfg.epsilon)}\n"
         )
         fh.write(cfg_line.encode("utf-8"))
         fh.write(struct.pack("<I", len(model_bytes)))
@@ -341,10 +353,8 @@ def load_index(path) -> RetrievalIndex:
         h_r_s, h_q_s, dim_s, pow_s, eps_s = (
             blob[off:nl].decode("utf-8").split("\t")
         )
-        config = SpatialSearchConfig(
-            int(h_r_s), int(h_q_s),
-            PipelineConfig(int(dim_s), float(pow_s), float(eps_s)),
-        )
+        config = SpatialSearchConfig(int(h_r_s), int(h_q_s), int(dim_s),
+                                     float(pow_s), float(eps_s))
     except (ValueError, UnicodeDecodeError):
         raise MalformedFile(f"{path}: bad config line") from None
     off = nl + 1

@@ -145,6 +145,11 @@ class MulticlassModel:
                 f"one-vs-one needs {k * (k - 1) // 2} pair models, "
                 f"got {len(self.models)}"
             )
+        models = self.models.values()
+        if any(m.bias != self.bias for m in models):
+            raise ValueError("a binary model's bias differs from the bundle's")
+        if len({m.w.size for m in models}) > 1:
+            raise ValueError("binary models differ in weight size")
 
     @property
     def input_dim(self) -> int:

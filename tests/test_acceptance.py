@@ -38,7 +38,6 @@ from featkit.metrics import (
     recall_at_k,
 )
 from featkit.preprocess import (
-    PipelineConfig,
     load_pca_model,
     pca_fit,
     pca_whiten_apply,
@@ -423,9 +422,7 @@ class TestC10PersistenceRoundTrips:
         rng = np.random.default_rng(558)
         corpus = [(f"ref{i}", _texture(rng, 32)) for i in range(5)]
         toy = ToyPixelExtractor(4)
-        config = SpatialSearchConfig(
-            h_r=3, h_q=2, pipeline=PipelineConfig(pca_dim=8)
-        )
+        config = SpatialSearchConfig(h_r=3, h_q=2, pca_dim=8)
         index = build_index(corpus, config, toy)
         p = tmp_path / "c.idx"
         save_index(index, p)

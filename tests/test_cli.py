@@ -412,6 +412,20 @@ class TestEvaluate:
         assert float(rows["q2"]) == 1.0
         assert float(rows["recall@2"]) == 1.0
 
+    def test_recall_accepts_rank_gaps(self, tmp_path):
+        # ranks need not be contiguous; one reference may serve two queries
+        ranking = tmp_path / "rank.tsv"
+        ranking.write_text("q1\t5\tr2\t0.5\nq1\t2\tr1\t0.1\n"
+                           "q2\t3\tr1\t0.3\n")
+        relevant = tmp_path / "rel.tsv"
+        relevant.write_text("q1\tr1\nq2\tr1\n")
+        report = tmp_path / "eval.tsv"
+        assert run(
+            "evaluate", "recall", "--ranking", ranking,
+            "--relevant", relevant, "--k", "1", "--out", report,
+        ) == 0
+        assert report.read_text().splitlines()[-1] == "recall@1\t1.0"
+
     @pytest.mark.parametrize("metric, missing, given", [
         ("ap", "scores", "truth"), ("ap", "truth", "scores"),
         ("accuracy", "predictions", "truth"),
@@ -463,8 +477,23 @@ class TestIndexQuery:
         ) == 0
         index = load_index(index_path)
         assert index.config.h_r == 4 and index.config.h_q == 3
-        assert index.config.pipeline.pca_dim == 500
-        assert index.config.pipeline.power == 2.0
+        assert index.config.pca_dim == 500
+        assert index.config.power == 2.0
+        assert index.config.epsilon == index.model.epsilon == 1e-10
+
+    def test_chain_options_recorded_in_index(self, pgm_corpus, tmp_path):
+        from featkit.retrieval import SpatialSearchConfig, load_index
+
+        refs_manifest, _ = pgm_corpus
+        index_path = tmp_path / "c.idx"
+        assert run(
+            "index", "--images", refs_manifest, "--extractor", "toy",
+            "--grid", "4", "--pca-dim", "8", "--power", "1.5",
+            "--epsilon", "1e-6", "--out", index_path,
+        ) == 0
+        index = load_index(index_path)
+        assert index.config == SpatialSearchConfig(4, 3, 8, 1.5, 1e-6)
+        assert index.model.epsilon == 1e-6
 
     def test_grid_inferred_from_index(self, pgm_corpus, tmp_path):
         refs_manifest, queries_manifest = pgm_corpus
@@ -587,7 +616,6 @@ class TestPreprocessCommands:
         ) == 0
         from featkit.features import load_features
         from featkit.preprocess import (
-            PipelineConfig,
             load_pca_model,
             retrieval_pipeline_apply,
         )
@@ -595,9 +623,8 @@ class TestPreprocessCommands:
         processed = load_features(out_path)
         assert processed.dim == 4
         model = load_pca_model(model_path)
-        cfg = PipelineConfig(4, 2.0, model.epsilon)
         for fid, row in zip(matrix.ids, matrix.values):
-            direct = retrieval_pipeline_apply(model, cfg, row)
+            direct = retrieval_pipeline_apply(model, 2.0, row)
             assert np.array_equal(
                 processed.values[processed.index_of(fid)], direct
             )
@@ -622,6 +649,29 @@ class TestPreprocessCommands:
                    fpath, "--out", out_path) == 2
         assert not out_path.exists()
         assert "end the model" in capsys.readouterr().err
+
+    def test_chain_options_reach_fit_and_apply(self, rng, tmp_path):
+        from featkit.features import load_features
+        from featkit.preprocess import (
+            load_pca_model,
+            retrieval_pipeline_apply,
+        )
+
+        fpath = tmp_path / "feats.tsv"
+        save_features(FeatureMatrix(tuple(f"v{i}" for i in range(12)),
+                                    rng.normal(size=(12, 6))), fpath)
+        model_path = tmp_path / "m.pcaw"
+        assert run("preprocess-fit", "--features", fpath, "--pca-dim", "3",
+                   "--epsilon", "1e-6", "--out", model_path) == 0
+        model = load_pca_model(model_path)
+        assert (model.k, model.epsilon) == (3, 1e-6)
+        out_path = tmp_path / "proc.tsv"
+        assert run("preprocess-apply", "--model", model_path, "--features",
+                   fpath, "--power", "1.5", "--out", out_path) == 0
+        rows = load_features(fpath).values
+        assert np.array_equal(load_features(out_path).values,
+                              retrieval_pipeline_apply(model, 1.5, rows))
+
 
 class TestPlans:
     def test_stdout_table(self, capsys):
@@ -656,6 +706,30 @@ class TestPlans:
         assert lines[1] == "1\t0,0,200,100;rot=0.0;mir=1"
 
 
+@pytest.mark.parametrize("argv, config, fields", [
+    (["index", "--images", "m", "--out", "o"], "SpatialSearchConfig",
+     {"h_r": "h_r", "h_q": "h_q", "pca_dim": "pca_dim", "power": "power",
+      "epsilon": "epsilon"}),
+    (["preprocess-fit", "--features", "f", "--out", "o"],
+     "SpatialSearchConfig", {"pca_dim": "pca_dim", "epsilon": "epsilon"}),
+    (["preprocess-apply", "--model", "m", "--features", "f", "--out", "o"],
+     "SpatialSearchConfig", {"power": "power"}),
+    (["train", "--features", "f", "--labels", "l", "--strategy", "ova",
+      "--model-out", "o"], "SolverConfig",
+     {"tol": "tol", "max_epochs": "max_epochs", "seed": "seed"}),
+    (["plans", "--width", "4", "--height", "4"], "AugmentConfig",
+     {"fraction": "crop_area_fraction", "angles": "rotation_angles"}),
+], ids=["index", "preprocess-fit", "preprocess-apply", "train", "plans"])
+def test_option_defaults_are_config_defaults(argv, config, fields):
+    import featkit
+    from featkit.cli import build_parser
+
+    args = build_parser().parse_args(argv)
+    defaults = getattr(featkit, config)
+    for option, field in fields.items():
+        assert getattr(args, option) == getattr(defaults, field), option
+
+
 def test_internal_error_exits_3(monkeypatch, tmp_path):
     import featkit.cli as cli_mod
 
@@ -688,6 +762,14 @@ _VALID_INPUTS = {
 @pytest.mark.parametrize("argv, name, text, lineno", [
     pytest.param(_RECALL, "rank.tsv", "q1\t1\tr1\t0.1\n\nq1\tx\tr2\t0.2\n",
                  3, id="ranking-rank-not-int"),
+    pytest.param(_RECALL, "rank.tsv", "q1\t1\tr1\t0.1\nq1\t2\tr1\t0.1\n",
+                 2, id="ranking-repeated-reference"),
+    pytest.param(_RECALL, "rank.tsv", "q1\t2\tr1\t0.1\nq1\t2\tr2\t0.2\n",
+                 2, id="ranking-repeated-rank"),
+    pytest.param(_RECALL, "rank.tsv", "q1\t0\tr1\t0.1\n", 1,
+                 id="ranking-rank-zero"),
+    pytest.param(_RECALL, "rank.tsv", "q1\t1\tr1\t0.1\nq1\t-2\tr2\t0.2\n",
+                 2, id="ranking-rank-negative"),
     pytest.param(("evaluate", "ap", "--scores", "scores.tsv", "--truth",
                   "labels.tsv", "--out", "eval.tsv"),
                  "scores.tsv", "id\tx\ty\na\t0.1\t0.2\nb\t0.3\n", 3,

@@ -16,7 +16,6 @@ from featkit.errors import (
 from featkit.preprocess import (
     COMPONENT_DECIMALS,
     PcaWhitenModel,
-    PipelineConfig,
     _unit_rows,
     dump_pca_model_text,
     l2_normalize,
@@ -29,6 +28,7 @@ from featkit.preprocess import (
     save_pca_model,
     signed_power,
 )
+from featkit.retrieval import SpatialSearchConfig
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,6 +74,11 @@ class TestSignedPower:
         assert np.array_equal(
             signed_power([0.0, -1.0, 1.0], 2.0), [0.0, -1.0, 1.0]
         )
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_power_not_positive_and_finite(self, p):
+        with pytest.raises(ValueError, match="finite"):
+            signed_power([0.5, -0.5], p)
 
     @given(finite_vectors)
     def test_sign_and_zero_pattern_preserved(self, vec):
@@ -170,7 +175,7 @@ class TestRetrievalPipeline:
     def test_clamps_with_warning(self, rng):
         x = rng.normal(size=(3, 4))
         with pytest.warns(ClampedDimensionWarning):
-            model = retrieval_pipeline_fit(x, PipelineConfig(pca_dim=500))
+            model = retrieval_pipeline_fit(x, 500, 1e-10)
         assert model.k == 2
 
     def test_unit_rows_equal_plain_fit(self, rng):
@@ -178,16 +183,15 @@ class TestRetrievalPipeline:
         # two fits agree to eigensolver precision
         x = rng.normal(size=(12, 6))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        cfg = PipelineConfig(pca_dim=4)
-        a = retrieval_pipeline_fit(x, cfg)
-        b = pca_fit(x, 4, cfg.epsilon)
+        a = retrieval_pipeline_fit(x, 4, 1e-10)
+        b = pca_fit(x, 4, 1e-10)
         assert np.abs(a.components - b.components).max() <= 1e-9
         assert np.abs(a.eigenvalues - b.eigenvalues).max() <= 1e-12
 
     def test_fit_mean_is_mean_of_unit_rows(self, rng):
         # the basis is fitted on the rows the chain applies to
         x = rng.normal(size=(200, 64))
-        model = retrieval_pipeline_fit(x, PipelineConfig(pca_dim=8))
+        model = retrieval_pipeline_fit(x, 8, 1e-10)
         assert np.array_equal(model.mean, _unit_rows(x).mean(axis=0))
 
     def test_scale_invariance_exact_on_pythagorean_input(self, rng):
@@ -195,30 +199,27 @@ class TestRetrievalPipeline:
         # binary floating point, so the leading normalization maps both
         # inputs to identical bits and the rest of the chain is shared
         x = rng.normal(size=(15, 6))
-        cfg = PipelineConfig(pca_dim=4)
-        model = retrieval_pipeline_fit(x, cfg)
+        model = retrieval_pipeline_fit(x, 4, 1e-10)
         v = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
-        a = retrieval_pipeline_apply(model, cfg, v)
-        b = retrieval_pipeline_apply(model, cfg, 7.0 * v)
+        a = retrieval_pipeline_apply(model, 2.0, v)
+        b = retrieval_pipeline_apply(model, 2.0, 7.0 * v)
         assert np.array_equal(a, b)
 
     def test_scale_invariance_random(self, rng):
         x = rng.normal(size=(15, 6))
-        cfg = PipelineConfig(pca_dim=4)
-        model = retrieval_pipeline_fit(x, cfg)
+        model = retrieval_pipeline_fit(x, 4, 1e-10)
         for scale in (7.0, 0.001, 3e5):
             v = rng.normal(size=6)
-            a = retrieval_pipeline_apply(model, cfg, v)
-            b = retrieval_pipeline_apply(model, cfg, scale * v)
+            a = retrieval_pipeline_apply(model, 2.0, v)
+            b = retrieval_pipeline_apply(model, 2.0, scale * v)
             assert np.abs(a - b).max() <= 1e-12
 
     def test_intermediate_is_unit_before_power(self, rng):
         x = rng.normal(size=(15, 6))
-        cfg = PipelineConfig(pca_dim=4)
-        model = retrieval_pipeline_fit(x, cfg)
+        model = retrieval_pipeline_fit(x, 4, 1e-10)
         for _ in range(10):
             v = rng.normal(size=6)
-            out = retrieval_pipeline_apply(model, cfg, v)
+            out = retrieval_pipeline_apply(model, 2.0, v)
             # undo the signed square: |out|**0.5 recovers the unit vector
             pre = np.sign(out) * np.sqrt(np.abs(out))
             assert abs(np.linalg.norm(pre) - 1.0) <= 1e-12
@@ -227,42 +228,38 @@ class TestRetrievalPipeline:
         # each row is processed by its own matrix-vector products, so the
         # batch agrees with the one-vector chain bit for bit
         x = rng.normal(size=(40, 24))
-        cfg = PipelineConfig(pca_dim=10)
-        model = retrieval_pipeline_fit(x, cfg)
+        model = retrieval_pipeline_fit(x, 10, 1e-10)
         batch_in = rng.normal(size=(25, 24)) * rng.choice(
             [1e-4, 1.0, 1e4], size=(25, 1)
         )
         batch_in[7] = 0.0
-        batch = retrieval_pipeline_apply(model, cfg, batch_in)
+        batch = retrieval_pipeline_apply(model, 2.0, batch_in)
         assert batch.shape == (25, 10)
         per_row = np.stack(
-            [retrieval_pipeline_apply(model, cfg, row) for row in batch_in]
+            [retrieval_pipeline_apply(model, 2.0, row) for row in batch_in]
         )
         assert np.abs(batch - per_row).max() <= 1e-12
         assert np.array_equal(batch, per_row)
-        head = retrieval_pipeline_apply(model, cfg, batch_in[:3])
+        head = retrieval_pipeline_apply(model, 2.0, batch_in[:3])
         assert np.array_equal(head, batch[:3])
 
     def test_rows_dim_mismatch(self, rng):
-        cfg = PipelineConfig(pca_dim=2)
-        model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), cfg)
+        model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), 2, 1e-10)
         with pytest.raises(DimMismatch):
-            retrieval_pipeline_apply(model, cfg, np.zeros((3, 5)))
+            retrieval_pipeline_apply(model, 2.0, np.zeros((3, 5)))
         with pytest.raises(DimMismatch):
-            retrieval_pipeline_apply(model, cfg, np.zeros((2, 3, 4)))
+            retrieval_pipeline_apply(model, 2.0, np.zeros((2, 3, 4)))
 
     def test_block_argument_validated(self, rng):
-        cfg = PipelineConfig(pca_dim=2)
-        model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), cfg)
+        model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), 2, 1e-10)
         with pytest.raises(ValueError):
-            retrieval_pipeline_apply(model, cfg, np.zeros((3, 4)), block=0)
+            retrieval_pipeline_apply(model, 2.0, np.zeros((3, 4)), block=0)
 
     def test_k1_output_is_signed_unit(self, rng):
         x = rng.normal(size=(10, 3))
-        cfg = PipelineConfig(pca_dim=1)
-        model = retrieval_pipeline_fit(x, cfg)
+        model = retrieval_pipeline_fit(x, 1, 1e-10)
         vals = {
-            float(retrieval_pipeline_apply(model, cfg, rng.normal(size=3))[0])
+            float(retrieval_pipeline_apply(model, 2.0, rng.normal(size=3))[0])
             for _ in range(20)
         }
         assert vals <= {-1.0, 0.0, 1.0}
@@ -280,39 +277,38 @@ class TestBlockedChain:
     @pytest.fixture(scope="class")
     def chain(self):
         rng = np.random.default_rng(77)
-        cfg = PipelineConfig(pca_dim=200)
-        model = retrieval_pipeline_fit(rng.normal(size=(400, 768)), cfg)
+        model = retrieval_pipeline_fit(rng.normal(size=(400, 768)), 200,
+                                       1e-10)
         x = rng.normal(size=(3 * self.P + 11, 768))
-        return model, cfg, x, retrieval_pipeline_apply(model, cfg, x,
-                                                       block=self.P)
+        return model, x, retrieval_pipeline_apply(model, 2.0, x, block=self.P)
 
     def test_same_position_same_bits(self, chain):
-        model, cfg, x, out = chain
+        model, x, out = chain
         rng = np.random.default_rng(78)
         run = x[self.P : 2 * self.P].copy()
         run[14:] = rng.normal(size=(self.P - 14, x.shape[1]))
-        again = retrieval_pipeline_apply(model, cfg, run, block=self.P)
+        again = retrieval_pipeline_apply(model, 2.0, run, block=self.P)
         assert np.array_equal(again[:14], out[self.P : self.P + 14])
 
     def test_short_runs_are_padded_to_block_shape(self, chain):
-        model, cfg, x, out = chain
+        model, x, out = chain
         for m in (1, 14, 29):
-            head = retrieval_pipeline_apply(model, cfg, x[:m], block=self.P)
+            head = retrieval_pipeline_apply(model, 2.0, x[:m], block=self.P)
             assert np.array_equal(head, out[:m])
-        tail = retrieval_pipeline_apply(model, cfg, x[3 * self.P :],
+        tail = retrieval_pipeline_apply(model, 2.0, x[3 * self.P :],
                                         block=self.P)
         assert np.array_equal(tail, out[3 * self.P :])
 
     def test_one_vector_is_a_padded_block(self, chain):
-        model, cfg, x, out = chain
-        row = retrieval_pipeline_apply(model, cfg, x[2 * self.P],
+        model, x, out = chain
+        row = retrieval_pipeline_apply(model, 2.0, x[2 * self.P],
                                        block=self.P)
         assert row.shape == (model.k,)
         assert np.array_equal(row, out[2 * self.P])
 
     def test_close_to_per_row_chain(self, chain):
-        model, cfg, x, out = chain
-        per_row = retrieval_pipeline_apply(model, cfg, x)
+        model, x, out = chain
+        per_row = retrieval_pipeline_apply(model, 2.0, x)
         assert np.abs(out - per_row).max() <= 1e-12
 
 
@@ -434,8 +430,23 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["power", "epsilon"])
     def test_config(self, field, bad):
+        # the config rejects the value, and so does the chain step that
+        # reads it, before it looks at its input: a 1-D fit input and a
+        # wrong-width apply input would raise other errors
         with pytest.raises(ValueError, match="finite"):
-            PipelineConfig(**{field: bad})
+            SpatialSearchConfig(**{field: bad})
+        with pytest.raises(ValueError, match="finite"):
+            if field == "epsilon":
+                retrieval_pipeline_fit(np.zeros(3), 2, bad)
+            else:
+                retrieval_pipeline_apply(_edge_model(), bad, np.zeros((2, 9)))
+
+    @pytest.mark.parametrize("pca_dim", [0, -1])
+    def test_pca_dim_below_one(self, pca_dim):
+        with pytest.raises(ValueError, match="pca_dim"):
+            SpatialSearchConfig(pca_dim=pca_dim)
+        with pytest.raises(ValueError, match="pca_dim"):
+            retrieval_pipeline_fit(np.zeros(3), pca_dim, 1e-10)
 
 
 # multiples of 1e-15 in [-1, 1]: the grid of fitted components
@@ -486,14 +497,13 @@ class TestGridText:
                 == fixed_decimal_rows_oracle(comps))
 
     def test_fitted_rows_equal_per_value_format(self, rng):
-        model = retrieval_pipeline_fit(rng.normal(size=(120, 70)),
-                                       PipelineConfig(pca_dim=50))
+        model = retrieval_pipeline_fit(rng.normal(size=(120, 70)), 50,
+                                       1e-10)
         assert (_component_text(dump_pca_model_text(model), model.k)
                 == fixed_decimal_rows_oracle(model.components))
 
     def test_fitted_rows_use_fixed_format(self, rng):
-        model = retrieval_pipeline_fit(rng.normal(size=(50, 9)),
-                                       PipelineConfig(pca_dim=5))
+        model = retrieval_pipeline_fit(rng.normal(size=(50, 9)), 5, 1e-10)
         text = dump_pca_model_text(model)
         cells = _component_cells(text, model.k)
         assert len(cells) == model.k * model.dim_in

@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,6 @@ from featkit.features import (
     fmt_float,
     load_features,
 )
-from featkit.preprocess import PipelineConfig
 from featkit.retrieval import (
     RetrievalIndex,
     SpatialSearchConfig,
@@ -77,9 +77,7 @@ def _toy_corpus(rng, n=6, size=48):
 
 
 def _small_config(h_r=4, h_q=3):
-    return SpatialSearchConfig(
-        h_r=h_r, h_q=h_q, pipeline=PipelineConfig(pca_dim=500)
-    )
+    return SpatialSearchConfig(h_r=h_r, h_q=h_q, pca_dim=500)
 
 
 class TestPatchGrid:
@@ -402,8 +400,7 @@ def _file_backed_index(rng, n_refs, h_r=2, h_q=2, dim=12, pca_dim=8):
     raw["r1"] = raw["r0"].copy()
     ids = [f"{r}#{k}" for r in raw for k in range(n_patches)]
     store = FeatureMatrix(tuple(ids), np.vstack(list(raw.values())))
-    cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q,
-                              pipeline=PipelineConfig(pca_dim=pca_dim))
+    cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q, pca_dim=pca_dim)
     index = build_index([(r, None) for r in raw], cfg,
                         FileBackedExtractor(store))
     return index, raw
@@ -602,8 +599,7 @@ class TestSelfMatchExactlyZero:
     def test_reference_rows_as_query(self, binding_kind, dim, h_r, h_q):
         rng = np.random.default_rng(1000 * h_r + 100 * h_q + dim)
         refs, binding = _self_match_setup(binding_kind, h_r, dim, rng)
-        cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q,
-                                  pipeline=PipelineConfig(pca_dim=500))
+        cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q, pca_dim=500)
         with pytest.warns(UserWarning):
             index = build_index(refs, cfg, binding)
         tile = np.arange(patch_count(h_q)) % patch_count(h_r)
@@ -716,6 +712,30 @@ class TestOtidx1Fixture:
         with pytest.raises(MalformedFile):
             load_index(bad)
         self._assert_query_fails(tmp_path, bad)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", 0.5),  # against the chain's 1e-10
+        ("pca_dim", 7),    # below the chain's k = 8
+    ])
+    def test_config_disagreeing_with_chain_rejected_by_library_and_cli(
+            self, tmp_path, capsys, field, value):
+        blob = (DATA / "otidx1_small.idx").read_bytes()
+        off = self._split(blob)[0]
+        cfg = blob[len(b"OTIDX1\n") : off - 1].decode().split("\t")
+        cfg[[f.name for f in fields(SpatialSearchConfig)].index(field)] = (
+            str(value))
+        bad = tmp_path / "disagree.idx"
+        bad.write_bytes(b"OTIDX1\n" + "\t".join(cfg).encode() + b"\n"
+                        + blob[off:])
+        with pytest.raises(MalformedFile, match="disagrees") as err:
+            load_index(bad)
+        assert str(bad) in str(err.value)
+        self._assert_query_fails(tmp_path, bad)
+        assert "disagrees" in capsys.readouterr().err
+        index = load_index(DATA / "otidx1_small.idx")
+        with pytest.raises(ValueError, match="disagrees"):
+            RetrievalIndex(index.ids, index.rects, index.vectors, index.model,
+                           replace(index.config, **{field: value}))
 
     def test_content_after_chain_rejected_by_library_and_cli(self,
                                                             tmp_path):

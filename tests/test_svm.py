@@ -464,6 +464,17 @@ class TestModelValues:
         with pytest.raises(ValueError):
             BinaryModel(np.array(w), c, obj, bias=False)
 
+    @pytest.mark.parametrize("model_bias, sizes, match", [
+        (False, (3, 3), "bias"),        # the bundle says bias=True
+        (True, (3, 4), "weight size"),  # the two weight vectors differ
+    ])
+    def test_bundle_rejects_disagreeing_binary_models(self, model_bias,
+                                                      sizes, match):
+        models = {i: BinaryModel(np.ones(n), 1.0, 0.5, bias=model_bias)
+                  for i, n in enumerate(sizes)}
+        with pytest.raises(ValueError, match=match):
+            MulticlassModel("ova", ("x", "y"), models, bias=True)
+
     @pytest.mark.parametrize("line", [
         "0\t1.0\t0.5\tnan\t1.0",
         "0\t-1\t0.5\t1.0\t1.0",

@@ -123,7 +123,6 @@ def _timed(name: str, fn, *args, **kwargs):
 
 def _index(refs: int) -> None:
     config = SpatialSearchConfig()
-    cfg = config.pipeline
     per_ref = patch_count(config.h_r)
     x = paper_patches(0, refs, per_ref)
     print(f"refs\t{refs}\npatches\t{x.shape[0]}\ndim\t{x.shape[1]}")
@@ -131,9 +130,10 @@ def _index(refs: int) -> None:
     print(f"peak_rss_before_fit_mb\t{_rss_mb():.1f}", flush=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = _timed("fit", retrieval_pipeline_fit, x, cfg)
-    processed = _timed("apply", retrieval_pipeline_apply, model, cfg, x,
-                       block=per_ref)
+        model = _timed("fit", retrieval_pipeline_fit, x, config.pca_dim,
+                       config.epsilon)
+    processed = _timed("apply", retrieval_pipeline_apply, model,
+                       config.power, x, block=per_ref)
     index = RetrievalIndex(
         tuple(f"r{i}" for i in range(refs)), ((),) * refs,
         processed.reshape(refs, per_ref, -1),
