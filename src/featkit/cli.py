@@ -38,6 +38,7 @@ from .features import (
     load_features,
     load_labels,
     load_pgm,
+    parse_rows,
     save_features,
     single_labels,
 )
@@ -219,30 +220,23 @@ def _cmd_predict(args) -> int:
 
 
 def _read_scores(path):
-    records = _tsv_records(path, "score file")
+    records = _tsv_records(path, "score file", maxsplit=1)
     lineno, header = next(records)
     if header[0] != "id" or len(header) < 2:
         raise MalformedFile(
             f"{path}:{lineno}: expected 'id<TAB>class...' header"
         )
-    rows = {}
+    classes = header[1].split("\t")
+    ids, bodies, linenos = {}, [], []
     for lineno, parts in records:
-        if len(parts) != len(header):
-            raise MalformedFile(
-                f"{path}:{lineno}: ragged score row "
-                f"({len(parts)} != {len(header)} fields)"
-            )
-        if parts[0] in rows:
-            raise MalformedFile(
-                f"{path}:{lineno}: duplicate id {parts[0]!r}"
-            )
-        try:
-            rows[parts[0]] = [float(v) for v in parts[1:]]
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
+        if parts[0] in ids:
+            raise MalformedFile(f"{path}:{lineno}: duplicate id {parts[0]!r}")
+        ids[parts[0]] = None
+        bodies.append(parts[1] if len(parts) > 1 else "")
+        linenos.append(lineno)
+    if not ids:
         raise MalformedFile(f"{path}: no score rows")
-    return header[1:], list(rows), np.asarray(list(rows.values()))
+    return classes, list(ids), parse_rows(path, bodies, linenos, len(classes))
 
 
 def _read_predictions(path):

@@ -3,7 +3,8 @@
 File formats handled here:
 
 * TSV features: one ``id<TAB>v1<TAB>v2<TAB>...`` row per vector, decimal
-  floats, UTF-8, no header.
+  floats read by :func:`parse_rows` (as are OTSVM1, PCAW1 and score
+  tables), UTF-8, no header.
 * Binary features (``FVEC1``): magic bytes ``FVEC1\\n``, u32-LE row count,
   u32-LE dimension, row-major IEEE-754 float32 LE payload, then one UTF-8
   newline-terminated id line per row.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,6 +205,26 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "tsv") -> None:
         raise ValueError(f"unknown feature format {fmt!r}")
 
 
+@contextmanager
+def open_text(path):
+    """``path`` opened for reading as UTF-8 text with universal newlines.
+
+    A byte that is not UTF-8 raises :class:`MalformedFile` naming the
+    path and the line, counted as the text reader counts them.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, 1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as bad:
+                    raise MalformedFile(f"{path}:{lineno}: {bad}") from None
+        raise MalformedFile(f"{path}: {exc}") from None
+
+
 def _tsv_records(path, what, maxsplit=-1):
     """Yield ``(lineno, fields)`` for each line of a UTF-8 tab-separated
     text file that is non-empty once ``\\n`` and ``\\r`` are stripped.
@@ -212,7 +234,7 @@ def _tsv_records(path, what, maxsplit=-1):
     such line raises :class:`MalformedFile` naming ``what``.
     """
     empty = True
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n").rstrip("\r")
             if line:
@@ -227,15 +249,52 @@ def _tsv_records(path, what, maxsplit=-1):
 _NUMPY_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _load_tsv(path) -> FeatureMatrix:
-    """Read TSV features; each value reads exactly as ``float()`` reads it.
+def parse_rows(path, bodies, linenos, width=None) -> np.ndarray:
+    """The float64 rows of tab-separated decimal text: ``bodies[i]`` is
+    the text of line ``linenos[i]`` of ``path``.  Every decimal reader of
+    featkit's text formats parses its numbers here.
 
-    One ``np.loadtxt`` call parses every row body; it rounds decimal text
-    as ``float()`` does.  When it rejects the bodies (a ragged row, a bad
-    value, or a spelling only ``float()`` takes, such as ``1_000``), or a
-    body holds text the two read differently, :func:`_float_rows` parses
-    them instead and raises the ``path:line`` error of a bad row.
+    Each value reads exactly as ``float()`` reads it.  One ``np.loadtxt``
+    call parses every body; it rounds decimal text as ``float()`` does.
+    When it rejects the bodies (a ragged row, a bad value, or a spelling
+    only ``float()`` takes, such as ``1_000``), a body holds text the two
+    read differently, or the rows are not ``width`` values wide,
+    :func:`_float_rows` parses them instead and raises the ``path:line``
+    error of the first bad row.  ``bodies`` must not be empty.
     """
+    # loadtxt skips an empty body, where float("") fails.
+    if all(bodies) and not any(
+        c in body for body in bodies for c in _NUMPY_ONLY_SPACE
+    ):
+        try:
+            values = np.loadtxt(bodies, delimiter="\t", comments=None,
+                                ndmin=2)
+            if width in (None, values.shape[1]):
+                return values
+        except ValueError:
+            pass
+    return _float_rows(path, bodies, linenos, width)
+
+
+def _float_rows(path, bodies, linenos, width=None) -> np.ndarray:
+    """Parse tab-separated row bodies with one ``float()`` per value."""
+    rows = []
+    for body, lineno in zip(bodies, linenos):
+        try:
+            row = [float(p) for p in body.split("\t")]
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+        width = width or len(row)
+        if len(row) != width:
+            raise MalformedFile(
+                f"{path}:{lineno}: ragged row ({len(row)} != {width})"
+            )
+        rows.append(row)
+    return np.asarray(rows, dtype=np.float64)
+
+
+def _load_tsv(path) -> FeatureMatrix:
+    """Read TSV features through :func:`parse_rows`."""
     ids, bodies, linenos = [], [], []
     for lineno, parts in _tsv_records(path, "feature file", maxsplit=1):
         if len(parts) < 2:
@@ -244,35 +303,7 @@ def _load_tsv(path) -> FeatureMatrix:
         ids.append(parts[0])
         bodies.append(parts[1])
         linenos.append(lineno)
-    values = None
-    # loadtxt skips an empty body, where float("") fails.
-    if all(bodies) and not any(
-        c in body for body in bodies for c in _NUMPY_ONLY_SPACE
-    ):
-        try:
-            values = np.loadtxt(bodies, delimiter="\t", comments=None,
-                                ndmin=2)
-        except ValueError:
-            pass
-    if values is None:
-        values = _float_rows(path, bodies, linenos)
-    return _build_matrix(path, ids, values)
-
-
-def _float_rows(path, bodies, linenos) -> np.ndarray:
-    """Parse tab-separated row bodies with one ``float()`` per value."""
-    rows = []
-    for body, lineno in zip(bodies, linenos):
-        try:
-            row = [float(p) for p in body.split("\t")]
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise MalformedFile(
-                f"{path}:{lineno}: ragged row ({len(row)} != {len(rows[0])})"
-            )
-        rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
+    return _build_matrix(path, ids, parse_rows(path, bodies, linenos))
 
 
 def _load_binary(path) -> FeatureMatrix:

@@ -22,6 +22,7 @@ keeps the objective in the exact form above.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ from .errors import (
     SingleClassData,
     SkippedClassWarning,
 )
-from .features import FeatureMatrix, fmt_float, fmt_row
+from .features import FeatureMatrix, fmt_float, fmt_row, open_text, parse_rows
 
 MODEL_MAGIC = "OTSVM1"
 
@@ -140,11 +141,14 @@ class MulticlassModel:
         k = len(self.classes)
         if k < 2:
             raise ValueError("need at least two classes")
-        if self.strategy == "ovo" and len(self.models) != k * (k - 1) // 2:
-            raise ValueError(
-                f"one-vs-one needs {k * (k - 1) // 2} pair models, "
-                f"got {len(self.models)}"
-            )
+        keys = set(self.models)
+        if self.strategy == "ova" and not (keys and keys <= set(range(k))):
+            raise ValueError(f"one-vs-all needs 1 to {k} models keyed by "
+                             "class index")
+        pairs = set(itertools.combinations(range(k), 2))
+        if self.strategy == "ovo" and keys != pairs:
+            raise ValueError(f"one-vs-one needs {len(pairs)} models keyed by "
+                             f"(i, j), 0 <= i < j < {k}")
         models = self.models.values()
         if any(m.bias != self.bias for m in models):
             raise ValueError("a binary model's bias differs from the bundle's")
@@ -455,6 +459,8 @@ def train_one_vs_all(features: FeatureMatrix, labels, cfg: SolverConfig
                 SkippedClassWarning,
                 stacklevel=2,
             )
+    if not models:
+        raise SingleClassData("every class has a degenerate subproblem")
     return MulticlassModel("ova", classes, models, cfg.bias)
 
 
@@ -541,22 +547,6 @@ def format_model_key(strategy: str, key) -> str:
     return str(key) if strategy == "ova" else f"{key[0]},{key[1]}"
 
 
-def _parse_key(strategy: str, text: str, k: int):
-    try:
-        if strategy == "ova":
-            key = int(text)
-            if not 0 <= key < k:
-                raise ValueError
-            return key
-        i_s, j_s = text.split(",")
-        i, j = int(i_s), int(j_s)
-        if not (0 <= i < j < k):
-            raise ValueError
-        return (i, j)
-    except ValueError:
-        raise MalformedFile(f"bad model key {text!r}") from None
-
-
 def save_model(model: MulticlassModel, path) -> None:
     """Text persistence; weights keep full round-trip precision."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -579,48 +569,44 @@ def save_model(model: MulticlassModel, path) -> None:
 
 
 def load_model(path) -> MulticlassModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise MalformedFile(f"{path}: bad model header")
-    try:
-        strategy, k_s, bias_s = lines[1].split("\t")
-        k = int(k_s)
-        bias = bool(int(bias_s))
-    except (IndexError, ValueError):
-        raise MalformedFile(f"{path}: bad strategy line") from None
-    if strategy not in ("ova", "ovo") or k < 2:
-        raise MalformedFile(f"{path}: bad strategy line")
-    if len(lines) < 2 + k:
-        raise MalformedFile(f"{path}: truncated class list")
-    classes = tuple(lines[2 : 2 + k])
-    models = {}
-    dim = None
-    for line in lines[2 + k :]:
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) < 4:
-            raise MalformedFile(f"{path}: truncated model line")
-        key = _parse_key(strategy, parts[0], k)
-        if key in models:
-            raise MalformedFile(f"{path}: duplicate model key {parts[0]!r}")
+    """Read an OTSVM1 file; each model line's ``C``, objective and weights
+    are one row of :func:`~featkit.features.parse_rows`."""
+    with open_text(path) as fh:
+        lines = enumerate((ln.rstrip("\n") for ln in fh), 1)
+        head = [line for _, line in itertools.islice(lines, 2)]
+        if not head or head[0] != MODEL_MAGIC:
+            raise MalformedFile(f"{path}: bad model header")
         try:
-            c_used = float(parts[1])
-            obj = float(parts[2])
-            w = np.asarray([float(v) for v in parts[3:]])
-        except ValueError:
-            raise MalformedFile(f"{path}: non-numeric model line") from None
-        if dim is None:
-            dim = w.size
-        elif w.size != dim:
-            raise MalformedFile(f"{path}: inconsistent weight dimensions")
-        try:
-            models[key] = BinaryModel(w, c_used, obj, bias)
-        except ValueError as exc:
-            raise MalformedFile(f"{path}: model {parts[0]!r}: {exc}") from exc
-    if not models:
+            strategy, k_s, bias_s = head[1].split("\t")
+            k, bias = int(k_s), bool(int(bias_s))
+        except (IndexError, ValueError):
+            raise MalformedFile(f"{path}: bad strategy line") from None
+        if strategy not in ("ova", "ovo") or k < 2:
+            raise MalformedFile(f"{path}: bad strategy line")
+        classes = tuple(line for _, line in itertools.islice(lines, k))
+        if len(classes) < k:
+            raise MalformedFile(f"{path}: truncated class list")
+        # Split as they are read, so the file's text is held once.
+        records = [(lineno, *line.partition("\t"))
+                   for lineno, line in lines if line]
+    if not records:
         raise MalformedFile(f"{path}: no model lines")
+    linenos, keys, _, bodies = zip(*records)
+    rows = parse_rows(path, bodies, linenos)
+    if rows.shape[1] < 3:
+        raise MalformedFile(f"{path}:{linenos[0]}: truncated model line")
+    models = {}
+    for key_s, row, lineno in zip(keys, rows, linenos):
+        try:
+            key = (int(key_s) if strategy == "ova"
+                   else tuple(map(int, key_s.split(","))))
+            if key in models:
+                raise ValueError("duplicate key")
+            models[key] = BinaryModel(row[2:], float(row[0]), float(row[1]),
+                                      bias)
+        except ValueError as exc:
+            raise MalformedFile(f"{path}:{lineno}: model {key_s!r}: {exc}"
+                                ) from exc
     try:
         return MulticlassModel(strategy, classes, models, bias)
     except ValueError as exc:

@@ -124,7 +124,7 @@ class TestC03Whitening:
     def test_identity_covariance_and_orthonormality(self):
         rng = np.random.default_rng(2468)
         x = rng.normal(size=(200, 50))
-        model = pca_fit(x, 20)
+        model = pca_fit(x, 20, 1e-10)
         z = np.stack([pca_whiten_apply(model, row) for row in x])
         zc = z - z.mean(axis=0)
         cov = zc.T @ zc / z.shape[0]
@@ -408,7 +408,7 @@ class TestC10PersistenceRoundTrips:
 
     def test_pcaw1_transform_equality(self, tmp_path):
         rng = np.random.default_rng(557)
-        model = pca_fit(rng.normal(size=(40, 8)), 5)
+        model = pca_fit(rng.normal(size=(40, 8)), 5, 1e-10)
         p = tmp_path / "m.pcaw"
         save_pca_model(model, p)
         back = load_pca_model(p)

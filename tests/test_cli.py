@@ -805,6 +805,45 @@ def test_malformed_line_exit_2_names_path_and_line(
     assert f"{tmp_path / name}:{lineno}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, target, lineno", [
+    ("predict", "model.tsvm", 4),          # an OTSVM1 class line
+    ("predict", "feats.tsv", 7),           # a TSV feature id
+    ("preprocess-apply", "feats.tsv", 7),
+    ("preprocess-apply", "chain.pcaw", 2),  # the PCAW1 size line
+])
+def test_undecodable_byte_exit_2_names_path_and_line(
+    blob_data, tmp_path, capsys, command, target, lineno
+):
+    _, _, fpath, lpath = blob_data
+    model, chain = tmp_path / "model.tsvm", tmp_path / "chain.pcaw"
+    assert run("train", "--features", fpath, "--labels", lpath,
+               "--strategy", "ovo", "--C", "1", "--model-out", model) == 0
+    assert run("preprocess-fit", "--features", fpath, "--pca-dim", "3",
+               "--out", chain) == 0
+    path = tmp_path / target
+    lines = path.read_bytes().split(b"\n")
+    lines[lineno - 1] = lines[lineno - 1][:1] + b"\xff" + lines[lineno - 1]
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out.tsv"
+    source = ["--model", model if command == "predict" else chain]
+    capsys.readouterr()
+    assert run(command, *source, "--features", fpath, "--out", out) == 2
+    assert f"{path}:{lineno}: 'utf-8' codec can't decode byte 0xff" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_train_ova_with_every_class_skipped_exits_2(tmp_path, capsys):
+    feats, labels = tmp_path / "f.tsv", tmp_path / "l.tsv"
+    feats.write_text("a\t1.0\t0.0\nb\t0.0\t1.0\n")
+    labels.write_text("a\tx\na\ty\nb\tx\nb\ty\n")
+    model = tmp_path / "m.tsvm"
+    assert run("train", "--features", feats, "--labels", labels,
+               "--strategy", "ova", "--C", "1", "--model-out", model) == 2
+    assert "every class has a degenerate subproblem" in capsys.readouterr().err
+    assert not model.exists()
+
+
 class TestDeterminism:
     def test_all_commands_byte_identical_on_rerun(
         self, blob_data, pgm_corpus, tmp_path

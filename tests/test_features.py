@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -314,3 +317,69 @@ class TestSmallestSquare:
         else:
             # containment impossible: shrunk to the image's short side
             assert sq.w == min(width, height)
+
+
+def _write_otidx1(path, token):
+    """The OTIDX1 fixture with ``token`` as the first value of its chain's
+    line 4, the first component row."""
+    blob = (Path(__file__).parent / "data" / "otidx1_small.idx").read_bytes()
+    off = blob.index(b"\n", len(b"OTIDX1\n")) + 1
+    (mlen,) = struct.unpack_from("<I", blob, off)
+    lines = blob[off + 4 : off + 4 + mlen].decode().split("\n")
+    lines[3] = "\t".join([token] + lines[3].split("\t")[1:])
+    text = "\n".join(lines).encode()
+    path.write_bytes(blob[:off] + struct.pack("<I", len(text)) + text
+                     + blob[off + 4 + mlen:])
+
+
+def _number_formats():
+    """Per text format: (writer of a file holding a token at a known line,
+    that line, reader of the token's value, whether it must be finite)."""
+    from featkit.cli import _read_scores
+    from featkit.preprocess import load_pca_model
+    from featkit.retrieval import load_index
+    from featkit.svm import load_model
+
+    def text(fmt):
+        return lambda path, token: path.write_text(fmt.format(token),
+                                                   encoding="utf-8")
+
+    return {
+        "tsv-feature": (text("a\t0.5\t{}\nb\t0.5\t0.25\n"), 1,
+                        lambda p: load_features(p).values[0, 1], True),
+        "otsvm1-weight": (
+            text("OTSVM1\nova\t2\t0\nx\ny\n0\t1.0\t0.5\t{}\t0.25\n"), 5,
+            lambda p: load_model(p).models[0].w[0], True),
+        "pcaw1-component": (
+            text("PCAW1\n1\t2\t1e-10\n0.5\t0.25\n{}\t0.25\n2.0\n"), 4,
+            lambda p: load_pca_model(p).components[0, 0], True),
+        "otidx1-component": (_write_otidx1, 4,
+                             lambda p: load_index(p).model.components[0, 0],
+                             True),
+        "score-cell": (text("id\tx\ty\na\t{}\t0.25\n"), 2,
+                       lambda p: _read_scores(p)[2][0, 0], False),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["tsv-feature", "otsvm1-weight",
+                                 "pcaw1-component", "otidx1-component",
+                                 "score-cell"])
+@pytest.mark.parametrize("token", _ODD_TOKENS)
+def test_every_text_format_reads_numbers_as_float_does(tmp_path, fmt, token):
+    write, lineno, read, finite = _number_formats()[fmt]
+    path = tmp_path / "numbers"
+    write(path, token)
+    try:
+        want = float(token)
+    except ValueError:
+        with pytest.raises(MalformedFile) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}:{lineno}: ")
+        return
+    if finite and not np.isfinite(want):
+        with pytest.raises(MalformedFile, match="finite") as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}")
+        return
+    got = read(path)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

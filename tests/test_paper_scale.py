@@ -1,4 +1,4 @@
-"""Smoke tests of the paper-scale probe's two modes at tiny sizes."""
+"""Smoke tests of the paper-scale probe's three modes at tiny sizes."""
 
 import importlib.util
 from pathlib import Path
@@ -61,4 +61,25 @@ def test_index_mode_reports_every_stage(capsys):
 def test_refs_must_be_at_least_two():
     with pytest.raises(SystemExit) as exc:
         _probe().main(["--refs", "1"])
+    assert exc.value.code == 2
+
+
+def test_ovo_mode_times_the_model_text(capsys):
+    probe = _probe()
+    probe.DIM = 16  # 4096-d weights would only slow the suite
+    assert probe.main(["--ovo-classes", "4"]) == 0
+    fields = dict(line.split("\t")
+                  for line in capsys.readouterr().out.splitlines())
+    assert (fields["classes"], fields["pair_models"], fields["dim"]) == (
+        "4", "6", "16")
+    for stage in ("save_model", "load_model"):
+        assert float(fields[f"{stage}_s"]) >= 0.0
+    assert int(fields["model_bytes"]) > 6 * 17 * 10
+    assert fields["weights_round_trip"] == "1"
+    assert float(fields["peak_rss_mb"]) > 0.0
+
+
+def test_ovo_classes_must_be_at_least_two():
+    with pytest.raises(SystemExit) as exc:
+        _probe().main(["--ovo-classes", "1"])
     assert exc.value.code == 2

@@ -89,14 +89,14 @@ class TestSignedPower:
 class TestPcaFit:
     def test_axis_aligned_line(self):
         x = np.array([[1.0, 0.0], [2.0, 0.0], [-3.0, 0.0], [4.0, 0.0]])
-        model = pca_fit(x, 1)
+        model = pca_fit(x, 1, 1e-10)
         assert np.allclose(model.components[0], [1.0, 0.0])
         assert model.eigenvalues[0] == pytest.approx(np.var(x[:, 0]))
 
     def test_constructed_diag_covariance(self):
         # population covariance exactly diag(4, 1)
         x = np.array([[2.0, 1.0], [2.0, -1.0], [-2.0, 1.0], [-2.0, -1.0]])
-        model = pca_fit(x, 2)
+        model = pca_fit(x, 2, 1e-10)
         cov = x.T @ x / 4
         direct = np.sort(np.linalg.eigvalsh(cov))[::-1]
         assert np.allclose(model.eigenvalues, direct)
@@ -104,19 +104,19 @@ class TestPcaFit:
 
     def test_components_orthonormal(self, rng):
         x = rng.normal(size=(40, 12))
-        model = pca_fit(x, 8)
+        model = pca_fit(x, 8, 1e-10)
         gram = model.components @ model.components.T
         assert np.abs(gram - np.eye(8)).max() <= 1e-8
 
     def test_components_on_grid(self, rng):
-        model = pca_fit(rng.normal(size=(40, 12)) * 100.0, 8)
+        model = pca_fit(rng.normal(size=(40, 12)) * 100.0, 8, 1e-10)
         comps = model.components
         assert np.array_equal(comps, np.round(comps, COMPONENT_DECIMALS))
         assert np.abs(comps).max() <= 1.0
 
     def test_sign_convention_deterministic(self, rng):
         x = rng.normal(size=(30, 6))
-        m1, m2 = pca_fit(x, 4), pca_fit(x.copy(), 4)
+        m1, m2 = pca_fit(x, 4, 1e-10), pca_fit(x.copy(), 4, 1e-10)
         assert np.array_equal(m1.components, m2.components)
         for row in m1.components:
             assert row[np.argmax(np.abs(row))] > 0
@@ -124,20 +124,20 @@ class TestPcaFit:
     def test_k_out_of_range(self, rng):
         x = rng.normal(size=(5, 3))
         with pytest.raises(ValueError):
-            pca_fit(x, 4)
+            pca_fit(x, 4, 1e-10)
 
     def test_rank_deficient_warns_and_truncates(self):
         base = np.array([[1.0, 2.0, 0.5]])
         x = np.outer([1.0, 2.0, 3.0, -1.0], base[0])  # rank-1 data
         with pytest.warns(RankDeficientWarning):
-            model = pca_fit(x, 3)
+            model = pca_fit(x, 3, 1e-10)
         assert model.k == 1
 
 
 class TestWhitening:
     def test_mean_maps_to_zero(self, rng):
         x = rng.normal(size=(20, 5))
-        model = pca_fit(x, 3)
+        model = pca_fit(x, 3, 1e-10)
         out = pca_whiten_apply(model, x.mean(axis=0))
         assert np.abs(out).max() <= 1e-9
 
@@ -152,20 +152,20 @@ class TestWhitening:
 
     def test_fit_set_covariance_is_identity(self, rng):
         x = rng.normal(size=(200, 50))
-        model = pca_fit(x, 20)
+        model = pca_fit(x, 20, 1e-10)
         z = np.stack([pca_whiten_apply(model, row) for row in x])
         assert np.abs(z.mean(axis=0)).max() <= 1e-8
         cov = z.T @ z / z.shape[0]
         assert np.abs(cov - np.eye(20)).max() <= 1e-6
 
     def test_dim_mismatch(self, rng):
-        model = pca_fit(rng.normal(size=(10, 4)), 2)
+        model = pca_fit(rng.normal(size=(10, 4)), 2, 1e-10)
         with pytest.raises(DimMismatch):
             pca_whiten_apply(model, np.zeros(5))
 
     def test_rows_match_per_vector(self, rng):
         x = rng.normal(size=(30, 9))
-        model = pca_fit(x, 5)
+        model = pca_fit(x, 5, 1e-10)
         batch = pca_whiten_apply(model, x)
         per_row = np.stack([pca_whiten_apply(model, row) for row in x])
         assert np.abs(batch - per_row).max() <= 1e-12
@@ -314,7 +314,7 @@ class TestBlockedChain:
 
 class TestPcawPersistence:
     def test_roundtrip_exact(self, tmp_path, rng):
-        model = pca_fit(rng.normal(size=(30, 7)), 4)
+        model = pca_fit(rng.normal(size=(30, 7)), 4, 1e-10)
         p = tmp_path / "m.pcaw"
         save_pca_model(model, p)
         back = load_pca_model(p)
@@ -330,7 +330,7 @@ class TestPcawPersistence:
             load_pca_model(p)
 
     def test_truncated(self, tmp_path, rng):
-        model = pca_fit(rng.normal(size=(10, 5)), 3)
+        model = pca_fit(rng.normal(size=(10, 5)), 3, 1e-10)
         p = tmp_path / "m.pcaw"
         save_pca_model(model, p)
         lines = p.read_text().splitlines()[:-2]
@@ -479,7 +479,7 @@ class TestGridText:
         comps = np.array(rows)
         k = comps.shape[0]
         model = PcaWhitenModel(np.zeros(6), comps,
-                               np.arange(k, 0, -1, dtype=float))
+                               np.arange(k, 0, -1, dtype=float), 1e-10)
         text = dump_pca_model_text(model)
         back = parse_pca_model_text(text)
         assert np.array_equal(_bits(back.components), _bits(comps))
@@ -492,7 +492,7 @@ class TestGridText:
         comps = np.array(rows)
         k, d = comps.shape
         model = PcaWhitenModel(np.zeros(d), comps,
-                               np.arange(k, 0, -1, dtype=float))
+                               np.arange(k, 0, -1, dtype=float), 1e-10)
         assert (_component_text(dump_pca_model_text(model), k)
                 == fixed_decimal_rows_oracle(comps))
 
@@ -519,13 +519,13 @@ class TestGridText:
 
     def test_off_grid_model_in_unit_range_keeps_shortest_text(self):
         model = PcaWhitenModel(np.zeros(2), np.array([[1.0 / 3.0, -0.1]]),
-                               np.ones(1))
+                               np.ones(1), 1e-10)
         assert _component_cells(dump_pca_model_text(model), 1) == [
             "0.3333333333333333", "-0.1"]
 
     def test_grid_is_bounded_by_one(self):
         model = PcaWhitenModel(np.zeros(2), np.array([[0.5, 2.0]]),
-                               np.ones(1))
+                               np.ones(1), 1e-10)
         assert _component_cells(dump_pca_model_text(model), 1) == [
             "0.5", "2.0"]
 

@@ -475,6 +475,19 @@ class TestModelValues:
         with pytest.raises(ValueError, match=match):
             MulticlassModel("ova", ("x", "y"), models, bias=True)
 
+    @pytest.mark.parametrize("strategy, keys", [
+        ("ova", [7]),          # no such class
+        ("ova", [0, -1]),
+        ("ova", []),           # nothing to score with
+        ("ovo", [(1, 0)]),     # the pair is keyed (0, 1)
+        ("ovo", [(0, 2)]),
+    ])
+    def test_bundle_rejects_keys_outside_the_classes(self, strategy, keys):
+        m = BinaryModel(np.ones(3), 1.0, 0.5, bias=True)
+        with pytest.raises(ValueError, match="needs"):
+            MulticlassModel(strategy, ("x", "y"), dict.fromkeys(keys, m),
+                            bias=True)
+
     @pytest.mark.parametrize("line", [
         "0\t1.0\t0.5\tnan\t1.0",
         "0\t-1\t0.5\t1.0\t1.0",
@@ -593,15 +606,23 @@ class TestOneVsAll:
     def test_degenerate_class_skipped_with_warning(self, rng):
         rows = rng.normal(size=(4, 2))
         feats = FeatureMatrix(("a", "b", "c", "d"), rows)
+        # every row is an "x": that class has no negatives
         labels = {
             "a": {"x", "y"},
             "b": {"x", "y"},
-            "c": {"x", "y"},
-            "d": {"x", "y"},
+            "c": {"x"},
+            "d": {"x"},
         }
         with pytest.warns(SkippedClassWarning):
             model = train_one_vs_all(feats, labels, SolverConfig(C=1.0))
-        assert len(model.models) == 0
+        assert list(model.models) == [1]
+
+    def test_every_class_degenerate_rejected(self, rng):
+        feats = FeatureMatrix(("a", "b"), rng.normal(size=(2, 2)))
+        labels = {"a": {"x", "y"}, "b": {"x", "y"}}
+        with pytest.warns(SkippedClassWarning), pytest.raises(
+                SingleClassData, match="every class"):
+            train_one_vs_all(feats, labels, SolverConfig(C=1.0))
 
 
 class TestOneVsOne:

@@ -1,9 +1,10 @@
 """Probe featkit at the paper's scale on seeded paper-shaped rows.
 
-Two modes, each run from a source tree:
+Three modes, each run from a source tree:
 
     python tools/paper_scale.py --rows 20000
     python tools/paper_scale.py --refs 1000
+    python tools/paper_scale.py --ovo-classes 67
 
 ``--rows`` trains one-vs-all SVMs.  The rows mimic the paper's training
 sets: each image has 16 views, the views are unit-norm 4096-d vectors
@@ -26,11 +27,20 @@ levels) of a reference's own patches.  It prints tab-separated lines:
 the input shape and size, the RSS before the fit, each stage's seconds,
 the index bytes, how many searches ranked their own reference first at
 distance 0.0, and the process's peak RSS.
+
+``--ovo-classes K`` times the OTSVM1 text of a K-class one-vs-one model,
+as MIT-67 (K = 67) trains one per class pair: K(K-1)/2 binary models of
+4096 seeded normal weights plus a bias weight.  It times ``save_model``
+to a temporary file and ``load_model``, and prints tab-separated lines:
+the class and pair-model counts, each stage's seconds, the file bytes,
+whether the loaded weights equal the saved ones bit for bit, and the
+process's peak RSS.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import resource
 import sys
 import tempfile
@@ -54,7 +64,15 @@ from featkit.retrieval import (  # noqa: E402
     save_index,
     search,
 )
-from featkit.svm import C_PRESETS, SolverConfig, train_binary  # noqa: E402
+from featkit.svm import (  # noqa: E402
+    BinaryModel,
+    C_PRESETS,
+    MulticlassModel,
+    SolverConfig,
+    load_model,
+    save_model,
+    train_binary,
+)
 
 VIEWS = 16
 CLASSES = 4
@@ -158,6 +176,28 @@ def _index(refs: int) -> None:
     print(f"self_matches\t{hits}/{queries.size}")
 
 
+def _ovo_model(classes: int) -> None:
+    rng = np.random.default_rng(0)
+    pairs = list(itertools.combinations(range(classes), 2))
+    models = {
+        key: BinaryModel(rng.standard_normal(DIM + 1), C_PRESETS["mit67"],
+                         float(rng.random()), True)
+        for key in pairs
+    }
+    model = MulticlassModel("ovo", tuple(f"c{i}" for i in range(classes)),
+                            models, True)
+    print(f"classes\t{classes}\npair_models\t{len(pairs)}\ndim\t{DIM}",
+          flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ovo.tsvm"
+        _timed("save_model", save_model, model, path)
+        print(f"model_bytes\t{path.stat().st_size}")
+        loaded = _timed("load_model", load_model, path)
+    same = all(np.array_equal(loaded.models[key].w, m.w)
+               for key, m in models.items())
+    print(f"weights_round_trip\t{int(same)}")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = p.add_mutually_exclusive_group(required=True)
@@ -165,16 +205,22 @@ def main(argv=None) -> int:
                       help="training rows, a multiple of 16")
     mode.add_argument("--refs", type=int,
                       help="index references, at least 2")
+    mode.add_argument("--ovo-classes", type=int,
+                      help="one-vs-one model classes, at least 2")
     args = p.parse_args(argv)
     if args.rows is not None:
         if args.rows < VIEWS * CLASSES or args.rows % VIEWS:
             p.error(f"--rows must be a multiple of 16, at least "
                     f"{VIEWS * CLASSES}")
         _train(args.rows)
-    else:
+    elif args.refs is not None:
         if args.refs < 2:
             p.error("--refs must be at least 2")
         _index(args.refs)
+    else:
+        if args.ovo_classes < 2:
+            p.error("--ovo-classes must be at least 2")
+        _ovo_model(args.ovo_classes)
     print(f"peak_rss_mb\t{_rss_mb():.1f}")
     return 0
 
