@@ -236,7 +236,11 @@ def _read_scores(path):
         linenos.append(lineno)
     if not ids:
         raise MalformedFile(f"{path}: no score rows")
-    return classes, list(ids), parse_rows(path, bodies, linenos, len(classes))
+    scores = parse_rows(path, bodies, linenos, len(classes))
+    bad = np.flatnonzero(~np.isfinite(scores).all(axis=1))
+    if bad.size:
+        raise MalformedFile(f"{path}:{linenos[bad[0]]}: scores must be finite")
+    return classes, list(ids), scores
 
 
 def _read_predictions(path):

@@ -14,7 +14,9 @@ File formats handled here:
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -119,10 +121,11 @@ class PixelGrid:
 
 
 def check_ids(ids: tuple, what: str) -> None:
-    """Raise ValueError unless every id is non-empty, free of tabs and
-    line breaks (the TSV and OTIDX1 separators) and unique."""
+    """Raise ValueError unless every id is a non-empty string, free of
+    tabs and line breaks (the TSV and OTIDX1 separators) and unique."""
     for i in ids:
-        if not i or "\t" in i or "\n" in i or "\r" in i:
+        if (not (isinstance(i, str) and i)
+                or "\t" in i or "\n" in i or "\r" in i):
             raise ValueError(f"invalid {what} {i!r}")
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate {what}s")
@@ -306,36 +309,62 @@ def _load_tsv(path) -> FeatureMatrix:
     return _build_matrix(path, ids, parse_rows(path, bodies, linenos))
 
 
+class BinaryReader:
+    """Front-to-back reads of an open binary file after its ``magic``: a
+    read past the end raises ``MalformedFile("<path>: truncated <part>")``
+    and sizes are checked against the bytes left before allocating."""
+
+    def __init__(self, path, fh, magic: bytes):
+        self.path, self._fh = path, fh
+        if fh.read(len(magic)) != magic:
+            raise MalformedFile(f"{path}: bad magic bytes")
+        self._left = os.fstat(fh.fileno()).st_size - len(magic)
+
+    def empty(self, part, dtype, *shape) -> np.ndarray:
+        """A new array of ``shape`` that the bytes left can fill."""
+        if math.prod(shape) * np.dtype(dtype).itemsize > self._left:
+            raise MalformedFile(f"{self.path}: truncated {part}")
+        return np.empty(shape, dtype)
+
+    def values(self, part, dtype, *shape) -> np.ndarray:
+        """The next values of ``dtype``, as a new array of ``shape``."""
+        return self.into(part, self.empty(part, dtype, *shape))
+
+    def into(self, part, out: np.ndarray) -> np.ndarray:
+        """Fill the C-contiguous array ``out`` from the next bytes."""
+        self._left -= out.nbytes
+        if self._fh.readinto(out) != out.nbytes:
+            raise MalformedFile(f"{self.path}: truncated {part}")
+        return out
+
+    def lines(self, part, count: int) -> list:
+        """The next ``count`` >= 1 UTF-8 lines, without their newlines."""
+        raw = list(itertools.islice(self._fh, count))
+        self._left -= sum(map(len, raw))
+        if len(raw) < count or not raw[-1].endswith(b"\n"):
+            raise MalformedFile(f"{self.path}: truncated {part}")
+        try:
+            return b"".join(raw)[:-1].decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise MalformedFile(f"{self.path}: {exc}") from None
+
+    def end(self) -> None:
+        if self._fh.read(1):
+            raise MalformedFile(f"{self.path}: trailing bytes")
+
+
 def _load_binary(path) -> FeatureMatrix:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(FVEC_MAGIC):
-        raise MalformedFile(f"{path}: bad magic bytes")
-    off = len(FVEC_MAGIC)
-    if len(blob) < off + 8:
-        raise MalformedFile(f"{path}: truncated header")
-    n, d = struct.unpack_from("<II", blob, off)
-    off += 8
-    if n == 0 or d == 0:
-        raise MalformedFile(f"{path}: empty matrix rejected (n={n}, d={d})")
-    need = n * d * 4
-    if len(blob) < off + need:
-        raise MalformedFile(f"{path}: truncated payload")
-    values = (
-        np.frombuffer(blob, dtype="<f4", count=n * d, offset=off)
-        .reshape(n, d)
-        .astype(np.float64)
-    )
-    off += need
-    tail = blob[off:]
-    lines = tail.split(b"\n")
-    if len(lines) != n + 1 or lines[-1] != b"":
-        raise MalformedFile(f"{path}: expected exactly {n} id lines")
-    try:
-        ids = [ln.decode("utf-8") for ln in lines[:-1]]
-    except UnicodeDecodeError as exc:
-        raise MalformedFile(f"{path}: undecodable id line") from exc
-    return _build_matrix(path, ids, values)
+        reader = BinaryReader(path, fh, FVEC_MAGIC)
+        n, d = reader.values("header", "<u4", 2).tolist()
+        if n == 0 or d == 0:
+            raise MalformedFile(
+                f"{path}: empty matrix rejected (n={n}, d={d})")
+        payload = reader.values("payload", "<f4", n, d)
+        ids = reader.lines("id line", n)
+        reader.end()
+    with np.errstate(invalid="ignore"):  # a signalling NaN is rejected
+        return _build_matrix(path, ids, payload.astype(np.float64))
 
 
 def _build_matrix(path, ids, values) -> FeatureMatrix:

@@ -25,6 +25,7 @@ from .errors import (
 )
 from .extractors import TransformPlan
 from .features import (
+    BinaryReader,
     FeatureMatrix,
     Rect,
     check_ids,
@@ -109,7 +110,7 @@ class RetrievalIndex:
 
 
 def patch_count(levels: int) -> int:
-    return sum(i * i for i in range(1, levels + 1))
+    return levels * (levels + 1) * (2 * levels + 1) // 6
 
 
 def patch_grid(width: int, height: int, level: int) -> list:
@@ -342,63 +343,33 @@ def save_index(index: RetrievalIndex, path) -> None:
 
 def load_index(path) -> RetrievalIndex:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(INDEX_MAGIC):
-        raise MalformedFile(f"{path}: bad index magic")
-    off = len(INDEX_MAGIC)
-    nl = blob.find(b"\n", off)
-    if nl < 0:
-        raise MalformedFile(f"{path}: missing config line")
-    try:
-        h_r_s, h_q_s, dim_s, pow_s, eps_s = (
-            blob[off:nl].decode("utf-8").split("\t")
-        )
-        config = SpatialSearchConfig(int(h_r_s), int(h_q_s), int(dim_s),
-                                     float(pow_s), float(eps_s))
-    except (ValueError, UnicodeDecodeError):
-        raise MalformedFile(f"{path}: bad config line") from None
-    off = nl + 1
-
-    def _u32(pos):
-        if pos + 4 > len(blob):
-            raise MalformedFile(f"{path}: truncated index")
-        return struct.unpack_from("<I", blob, pos)[0], pos + 4
-
-    mlen, off = _u32(off)
-    if off + mlen > len(blob):
-        raise MalformedFile(f"{path}: truncated model block")
-    view = memoryview(blob)
-    ids, rects, blocks = [], [], []
-    try:
-        text = blob[off : off + mlen].decode("utf-8")
-        model = parse_pca_model_text(text, path)
-        expected = (patch_count(config.h_r), model.k)
-        n_refs, off = _u32(off + mlen)
-        for _ in range(n_refs):
-            nl = blob.find(b"\n", off)
-            if nl < 0:
-                raise MalformedFile(f"{path}: truncated reference id")
-            ids.append(blob[off:nl].decode("utf-8"))
-            n_rects, off = _u32(nl + 1)
-            if off + 16 * n_rects > len(blob):
-                raise MalformedFile(f"{path}: truncated rect block")
-            rects.append(tuple(
-                Rect(*struct.unpack_from("<IIII", blob, off + 16 * j))
-                for j in range(n_rects)
-            ))
-            n, off = _u32(off + 16 * n_rects)
-            k, off = _u32(off)
-            if (n, k) != expected:
-                raise ValueError(f"reference {ids[-1]!r} has {(n, k)} patch "
-                                 f"vectors, expected {expected}")
-            blocks.append(view[off : off + n * k * 4])
-            off += n * k * 4
-            if off > len(blob):
-                raise MalformedFile(f"{path}: truncated vector block")
-        if off != len(blob):
-            raise MalformedFile(f"{path}: trailing bytes")
-        vectors = np.frombuffer(b"".join(blocks), dtype="<f4")
-        return RetrievalIndex(tuple(ids), tuple(rects),
-                              vectors.reshape(-1, *expected), model, config)
-    except ValueError as exc:
-        raise MalformedFile(f"{path}: {exc}") from exc
+        reader = BinaryReader(path, fh, INDEX_MAGIC)
+        try:
+            (cfg,) = reader.lines("config line", 1)
+            h_r, h_q, dim, power, eps = cfg.split("\t")
+            config = SpatialSearchConfig(int(h_r), int(h_q), int(dim),
+                                         float(power), float(eps))
+        except ValueError:
+            raise MalformedFile(f"{path}: bad config line") from None
+        try:
+            (mlen,) = reader.values("model length", "<u4", 1).tolist()
+            text = str(reader.values("model block", np.uint8, mlen), "utf-8")
+            model = parse_pca_model_text(text, path)
+            expected = (patch_count(config.h_r), model.k)
+            (n_refs,) = reader.values("reference count", "<u4", 1).tolist()
+            vectors = reader.empty("vector block", "<f4", n_refs, *expected)
+            ids, rects = [], []
+            for block in vectors:
+                ids += reader.lines("reference id", 1)
+                (n_rects,) = reader.values("rect count", "<u4", 1).tolist()
+                corners = reader.values("rect block", "<u4", n_rects, 4)
+                rects.append(tuple(Rect(*r) for r in corners.tolist()))
+                shape = tuple(reader.values("vector shape", "<u4", 2).tolist())
+                if shape != expected:
+                    raise ValueError(f"reference {ids[-1]!r} has {shape} "
+                                     f"patch vectors, expected {expected}")
+                reader.into("vector block", block)
+            reader.end()
+            return RetrievalIndex(ids, rects, vectors, model, config)
+        except ValueError as exc:
+            raise MalformedFile(f"{path}: {exc}") from exc

@@ -36,7 +36,14 @@ from .errors import (
     SingleClassData,
     SkippedClassWarning,
 )
-from .features import FeatureMatrix, fmt_float, fmt_row, open_text, parse_rows
+from .features import (
+    FeatureMatrix,
+    check_ids,
+    fmt_float,
+    fmt_row,
+    open_text,
+    parse_rows,
+)
 
 MODEL_MAGIC = "OTSVM1"
 
@@ -141,6 +148,7 @@ class MulticlassModel:
         k = len(self.classes)
         if k < 2:
             raise ValueError("need at least two classes")
+        check_ids(self.classes, "class name")
         keys = set(self.models)
         if self.strategy == "ova" and not (keys and keys <= set(range(k))):
             raise ValueError(f"one-vs-all needs 1 to {k} models keyed by "

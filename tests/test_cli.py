@@ -778,6 +778,10 @@ _VALID_INPUTS = {
                   "labels.tsv", "--out", "eval.tsv"),
                  "scores.tsv", "id\tx\na\t0.9\na\t0.1\nb\t0.5\n", 3,
                  id="scores-duplicate-id"),
+    pytest.param(("evaluate", "ap", "--scores", "scores.tsv", "--truth",
+                  "labels.tsv", "--out", "eval.tsv"),
+                 "scores.tsv", "id\tx\na\t0.9\n\nb\tnan\n", 4,
+                 id="scores-non-finite"),
     pytest.param(("evaluate", "accuracy", "--predictions", "preds.tsv",
                   "--truth", "labels.tsv", "--out", "eval.tsv"),
                  "preds.tsv", "a\tx\na\ty\n", 2,

@@ -334,7 +334,8 @@ def _write_otidx1(path, token):
 
 def _number_formats():
     """Per text format: (writer of a file holding a token at a known line,
-    that line, reader of the token's value, whether it must be finite)."""
+    that line, reader of the token's value).  Every format needs finite
+    values."""
     from featkit.cli import _read_scores
     from featkit.preprocess import load_pca_model
     from featkit.retrieval import load_index
@@ -346,18 +347,17 @@ def _number_formats():
 
     return {
         "tsv-feature": (text("a\t0.5\t{}\nb\t0.5\t0.25\n"), 1,
-                        lambda p: load_features(p).values[0, 1], True),
+                        lambda p: load_features(p).values[0, 1]),
         "otsvm1-weight": (
             text("OTSVM1\nova\t2\t0\nx\ny\n0\t1.0\t0.5\t{}\t0.25\n"), 5,
-            lambda p: load_model(p).models[0].w[0], True),
+            lambda p: load_model(p).models[0].w[0]),
         "pcaw1-component": (
             text("PCAW1\n1\t2\t1e-10\n0.5\t0.25\n{}\t0.25\n2.0\n"), 4,
-            lambda p: load_pca_model(p).components[0, 0], True),
+            lambda p: load_pca_model(p).components[0, 0]),
         "otidx1-component": (_write_otidx1, 4,
-                             lambda p: load_index(p).model.components[0, 0],
-                             True),
+                             lambda p: load_index(p).model.components[0, 0]),
         "score-cell": (text("id\tx\ty\na\t{}\t0.25\n"), 2,
-                       lambda p: _read_scores(p)[2][0, 0], False),
+                       lambda p: _read_scores(p)[2][0, 0]),
     }
 
 
@@ -366,7 +366,7 @@ def _number_formats():
                                  "score-cell"])
 @pytest.mark.parametrize("token", _ODD_TOKENS)
 def test_every_text_format_reads_numbers_as_float_does(tmp_path, fmt, token):
-    write, lineno, read, finite = _number_formats()[fmt]
+    write, lineno, read = _number_formats()[fmt]
     path = tmp_path / "numbers"
     write(path, token)
     try:
@@ -376,7 +376,7 @@ def test_every_text_format_reads_numbers_as_float_does(tmp_path, fmt, token):
             read(path)
         assert str(err.value).startswith(f"{path}:{lineno}: ")
         return
-    if finite and not np.isfinite(want):
+    if not np.isfinite(want):
         with pytest.raises(MalformedFile, match="finite") as err:
             read(path)
         assert str(err.value).startswith(f"{path}")

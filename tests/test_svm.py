@@ -488,6 +488,25 @@ class TestModelValues:
             MulticlassModel(strategy, ("x", "y"), dict.fromkeys(keys, m),
                             bias=True)
 
+    @pytest.mark.parametrize("classes", [
+        ("a\nb", "c"), ("a", "a"), ("", "x"), ("a\tb", "c"), ("a\rb", "c"),
+        ("a", 1),
+    ])
+    def test_bundle_rejects_bad_class_names(self, classes):
+        m = BinaryModel(np.ones(3), 1.0, 0.5, bias=True)
+        with pytest.raises(ValueError, match="class name"):
+            MulticlassModel("ova", classes, {0: m}, bias=True)
+
+    @pytest.mark.parametrize("names", ["a\tb\nc", "a\na", "\nx"])
+    def test_load_rejects_bad_class_names_naming_path(self, tmp_path,
+                                                      names):
+        p = tmp_path / "m.tsvm"
+        p.write_text(f"OTSVM1\nova\t2\t1\n{names}\n"
+                     "0\t1.0\t0.5\t1.0\t1.0\n")
+        with pytest.raises(MalformedFile, match="class name") as err:
+            load_model(p)
+        assert str(p) in str(err.value)
+
     @pytest.mark.parametrize("line", [
         "0\t1.0\t0.5\tnan\t1.0",
         "0\t-1\t0.5\t1.0\t1.0",
