@@ -53,6 +53,7 @@ from .retrieval import (
     RetrievalIndex,
     SpatialSearchConfig,
     build_index,
+    extract_patches,
     load_index,
     patch_grid,
     query_distance,

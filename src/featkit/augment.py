@@ -137,6 +137,18 @@ def plan_representation_id(sample_id: str, plan_index: int) -> str:
     return f"{sample_id}#{plan_index}"
 
 
+def representation_groups(ids) -> dict:
+    """Row indices of ``ids`` under their sample id, the inverse of
+    :func:`plan_representation_id`; an id that does not end in ``#`` and
+    ASCII digits is its own group."""
+    groups: dict = {}
+    for i, rep_id in enumerate(ids):
+        base, sep, k = rep_id.rpartition("#")
+        key = base if sep and k.isascii() and k.isdigit() else rep_id
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def augment_training_set(binding, samples, plans, labels):
     """Expand samples through plans into L2-normalized training rows.
 

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -56,8 +57,13 @@ _NOMINAL_CANVAS = (300, 300)
 
 def _atomic_write(path, write_fn) -> None:
     tmp = f"{path}.tmp~"
-    write_fn(tmp)
-    os.replace(tmp, path)
+    try:
+        write_fn(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_text(path, text: str) -> None:
@@ -120,10 +126,11 @@ def _cmd_train(args) -> int:
 
     if args.augment:
         plans = augment.augmentation_plans(*_NOMINAL_CANVAS)
-        binding = FileBackedExtractor(matrix)
         samples = [(bid, None) for bid in labels]
+        # Only the call holds the binding, so the loaded rows are freed
+        # once the augmented rows replace them.
         matrix, labels = augment.augment_training_set(
-            binding, samples, plans, labels
+            FileBackedExtractor(matrix), samples, plans, labels
         )
         report_lines.append(f"augmented_per_source\t{len(plans)}")
 
@@ -180,16 +187,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _group_rows(matrix: FeatureMatrix):
-    """Group representation rows (``base#index``) under their base id."""
-    groups: dict = {}
-    for i, fid in enumerate(matrix.ids):
-        base, sep, suffix = fid.rpartition("#")
-        key = base if sep and suffix.isdigit() else fid
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 def _cmd_predict(args) -> int:
     model = svm.load_model(args.model)
     matrix = load_features(args.features, args.format)
@@ -202,7 +199,7 @@ def _cmd_predict(args) -> int:
     scores = svm.decision(model, matrix.values)
     pooled = {
         base: augment.pool_responses(scores[rows], args.pooling)
-        for base, rows in _group_rows(matrix).items()
+        for base, rows in augment.representation_groups(matrix.ids).items()
     }
     lines = []
     if model.strategy == "ovo":
@@ -384,11 +381,15 @@ def _sized_path(rid, path, w, h):
     return path, w, h
 
 
-def _manifest_images(path, to_image):
-    return [
-        (rid, to_image(rid, img, w, h))
-        for rid, img, w, h in _load_manifest(path)
-    ]
+def _extract_manifest(args, manifest, levels: int, need_dim=None):
+    """The ids of ``manifest``'s images, their patch rects and their raw
+    patch rows at ``levels`` levels.  The binding, with any features it
+    loaded, is freed on return."""
+    binding, to_image = _make_binding(args, need_dim)
+    images = [(rid, to_image(rid, img, w, h))
+              for rid, img, w, h in _load_manifest(manifest)]
+    rects, raw = retrieval.extract_patches(binding, images, levels)
+    return [rid for rid, _ in images], rects, raw
 
 
 def _cmd_index(args) -> int:
@@ -396,23 +397,21 @@ def _cmd_index(args) -> int:
         h_r=args.h_r, h_q=args.h_q, pca_dim=args.pca_dim, power=args.power,
         epsilon=args.epsilon,
     )
-    binding, to_image = _make_binding(args)
-    refs = _manifest_images(args.images, to_image)
-    index = retrieval.build_index(refs, config, binding)
+    index = retrieval.build_index(
+        *_extract_manifest(args, args.images, config.h_r), config)
     _atomic_write(args.out, lambda p: retrieval.save_index(index, p))
     return 0
 
 
 def _cmd_query(args) -> int:
     index = retrieval.load_index(args.index)
-    binding, to_image = _make_binding(args, need_dim=index.model.dim_in)
-    queries = _manifest_images(args.queries, to_image)
-    levels = index.config.h_q if args.h_q is None else args.h_q
-    _, raw = retrieval.extract_patches(binding, queries, levels)
+    if args.h_q is not None:
+        index = replace(index, config=replace(index.config, h_q=args.h_q))
+    qids, _, raw = _extract_manifest(args, args.queries, index.config.h_q,
+                                     need_dim=index.model.dim_in)
     lines = []
-    for (qid, _), block in zip(queries, np.split(raw, len(queries))):
-        ranked = retrieval.search(index, block, h_q=levels,
-                                  top_k=args.top_k)
+    for qid, block in zip(qids, np.split(raw, len(qids))):
+        ranked = retrieval.search(index, block, top_k=args.top_k)
         for rank, (ref_id, dist) in enumerate(ranked, 1):
             lines.append(f"{qid}\t{rank}\t{ref_id}\t{fmt_float(dist)}")
     _write_text(args.out, "\n".join(lines) + "\n")
@@ -472,13 +471,12 @@ def _cmd_plans(args) -> int:
     return 0
 
 
-def _add_feature_args(p, with_format: bool = True) -> None:
+def _add_feature_args(p) -> None:
     p.add_argument("--features", required=True, help="feature file")
-    if with_format:
-        p.add_argument(
-            "--format", choices=("tsv", "binary"), default="tsv",
-            help="feature file format",
-        )
+    p.add_argument(
+        "--format", choices=("tsv", "binary"), default="tsv",
+        help="feature file format",
+    )
 
 
 def _add_extractor_args(p) -> None:

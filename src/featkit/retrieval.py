@@ -26,7 +26,6 @@ from .errors import (
 from .extractors import TransformPlan
 from .features import (
     BinaryReader,
-    FeatureMatrix,
     Rect,
     check_ids,
     fmt_float,
@@ -164,23 +163,32 @@ def extract_patches(binding, images, levels: int):
     return rects, binding.extract_batch(requests)
 
 
-def build_index(references, config: SpatialSearchConfig, binding
+def build_index(ids, rects, raw, config: SpatialSearchConfig
                 ) -> RetrievalIndex:
-    """Extract all reference patches, fit the chain on them, store both.
+    """Fit the chain on the references' raw patch rows and store the
+    processed patches.
 
-    ``references`` is a sequence of (id, image) pairs, with images as the
-    binding takes them (see :mod:`featkit.extractors`).
+    ``raw`` holds patch_count(h_r) rows per id, reference after
+    reference, and ``rects`` each reference's source rects (empty when
+    the binding has no image geometry), as :func:`extract_patches` gives
+    them.
     """
-    refs = list(references)
-    if len(refs) < 2:
+    ids = tuple(ids)
+    if len(ids) < 2:
         raise EmptyInput("index construction needs at least two references")
     per_ref = patch_count(config.h_r)
-    rects, raw = extract_patches(binding, refs, config.h_r)
+    raw = np.asarray(raw, dtype=np.float64)
+    if raw.ndim != 2 or raw.shape[0] != len(ids) * per_ref:
+        raise DimMismatch(f"raw patch block {raw.shape}, expected "
+                          f"{len(ids)} x {per_ref} rows")
+    for ref_id, block in zip(ids, np.split(raw, len(ids))):
+        if not np.isfinite(block).all():  # per reference: no n x d mask
+            raise ValueError(f"reference {ref_id!r} has a non-finite patch "
+                             "value")
     model = retrieval_pipeline_fit(raw, config.pca_dim, config.epsilon)
     processed = retrieval_pipeline_apply(model, config.power, raw,
                                          block=per_ref)
-    return RetrievalIndex(tuple(ref_id for ref_id, _ in refs), rects,
-                          processed.reshape(len(refs), per_ref, -1),
+    return RetrievalIndex(ids, rects, processed.reshape(len(ids), per_ref, -1),
                           model, config)
 
 
@@ -239,43 +247,28 @@ def query_distance(query_vecs, ref_vectors):
     return float(dists[0]) if r.ndim == 2 else dists
 
 
-def query_patch_vectors(index: RetrievalIndex, query, binding,
-                        h_q: int | None = None) -> np.ndarray:
-    """Processed query patch vectors (float32, like the index side).
-
-    A raw patch matrix (ndarray or FeatureMatrix) must hold exactly
-    ``patch_count(h_q)`` finite rows.
-    """
-    levels = h_q if h_q is not None else index.config.h_q
-    if levels < 1:
-        raise ValueError("h_q must be at least 1")
-    if isinstance(query, FeatureMatrix):
-        query = query.values
-    if isinstance(query, np.ndarray):
-        raw = np.atleast_2d(np.asarray(query, dtype=np.float64))
-        if raw.shape[0] != patch_count(levels):
-            raise DimMismatch(
-                f"query has {raw.shape[0]} patch rows, h_q={levels} "
-                f"needs {patch_count(levels)}"
-            )
-    else:
-        _, raw = extract_patches(binding, [("q", query)], levels)
-    if not np.all(np.isfinite(raw)):
+def query_patch_vectors(index: RetrievalIndex, raw) -> np.ndarray:
+    """One query's processed patch vectors (float32, like the index
+    side) from its raw patch rows: exactly ``patch_count(h_q)`` finite
+    rows."""
+    rows = np.atleast_2d(np.asarray(raw, dtype=np.float64))
+    need = patch_count(index.config.h_q)
+    if rows.shape[0] != need:
+        raise DimMismatch(f"query has {rows.shape[0]} patch rows, "
+                          f"h_q={index.config.h_q} needs {need}")
+    if not np.all(np.isfinite(rows)):
         raise ValueError("query patch features must be finite")
     processed = retrieval_pipeline_apply(
-        index.model, index.config.power, raw,
+        index.model, index.config.power, rows,
         block=patch_count(index.config.h_r),
     )
     return processed.astype(np.float32)
 
 
-def search(index: RetrievalIndex, query, binding=None, *,
-           h_q: int | None = None, top_k: int = 10) -> list:
-    """Rank references by ascending distance to the query.
-
-    ``query`` may be an image (extracted through ``binding``) or an
-    already-extracted raw patch matrix.  Returns at most ``top_k``
-    (reference id, distance) pairs; ties order by reference id.
+def search(index: RetrievalIndex, raw, *, top_k: int = 10) -> list:
+    """Rank references by ascending distance to one query, given as its
+    raw patch rows (see :func:`query_patch_vectors`).  Returns at most
+    ``top_k`` (reference id, distance) pairs; ties order by reference id.
 
     One GEMM over ``index.patch_matrix`` gives every patch-to-patch
     squared distance as |q|^2 + |r|^2 - 2 q.r, and from it an
@@ -286,7 +279,7 @@ def search(index: RetrievalIndex, query, binding=None, *,
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    q = query_patch_vectors(index, query, binding, h_q)
+    q = query_patch_vectors(index, raw)
     n_refs = len(index.ids)
     refs, ref_sq = index.patch_matrix
     q64 = q.astype(np.float64)

@@ -1,12 +1,16 @@
 """Byte mutants of a saved file, and one sweep that holds a reader to
 the rule every featkit reader keeps: a mutant either raises
 :class:`MalformedFile` whose message names the path, or loads into an
-object that saves and loads back equal."""
+object that saves and loads back equal.  A mutant given to the CLI must
+exit 2 with one ``featkit:`` line naming it."""
 
 import warnings
+from contextlib import redirect_stderr
+from io import StringIO
 
 import numpy as np
 
+from featkit.cli import main
 from featkit.errors import MalformedFile
 
 REPLACEMENTS = (0x00, 0xFF, 0x0A, 0x09, 0x80)
@@ -59,3 +63,23 @@ def sweep(path, blob: bytes, load, save, same, positions, others=0,
         assert same(obj, load(again)), label
         loaded += 1
     return rejected, loaded
+
+
+def run_cli(argv):
+    """(exit code, stderr lines, warnings) of one in-process command."""
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in argv])
+    return code, err.getvalue().splitlines(), caught
+
+
+def check_cli_rejects(path, out, result) -> None:
+    """``result`` of :func:`run_cli` is exit 2 with one ``featkit:``
+    line naming ``path``, no warning, and no ``out`` file written."""
+    code, lines, caught = result
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("featkit: ")
+    assert str(path) in lines[0]
+    assert not caught
+    assert not out.exists()

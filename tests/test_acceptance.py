@@ -45,13 +45,11 @@ from featkit.preprocess import (
 )
 from featkit.retrieval import (
     SpatialSearchConfig,
-    build_index,
     load_index,
     patch_count,
     patch_grid,
     query_distance,
     save_index,
-    search,
 )
 from featkit.svm import (
     SolverConfig,
@@ -70,7 +68,7 @@ from oracles import (
     query_distance_oracle,
     svm_subgradient_oracle_batch,
 )
-from test_retrieval import _texture
+from test_retrieval import _build, _search, _texture
 
 
 def _report(name):
@@ -273,7 +271,7 @@ class TestC08EndToEndRetrieval:
         toy = ToyPixelExtractor(5)
         config = SpatialSearchConfig()  # h_r=4, h_q=3, pca_dim=500
         with pytest.warns(ClampedDimensionWarning):
-            index = build_index(corpus, config, toy)
+            index = _build(corpus, config, toy)
 
         center = crop_rects(size, size, 4.0 / 9.0)[4]
         r1_vals, r4_vals = [], []
@@ -282,7 +280,7 @@ class TestC08EndToEndRetrieval:
                 center.y : center.y + center.h,
                 center.x : center.x + center.w,
             ]
-            ranked = search(index, PixelGrid(crop), toy, top_k=20)
+            ranked = _search(index, PixelGrid(crop), toy, top_k=20)
             ids = [r for r, _ in ranked]
             r1_vals.append(recall_at_k(ids, {rid}, 1))
             r4_vals.append(recall_at_k(ids, {rid}, 4))
@@ -423,13 +421,13 @@ class TestC10PersistenceRoundTrips:
         corpus = [(f"ref{i}", _texture(rng, 32)) for i in range(5)]
         toy = ToyPixelExtractor(4)
         config = SpatialSearchConfig(h_r=3, h_q=2, pca_dim=8)
-        index = build_index(corpus, config, toy)
+        index = _build(corpus, config, toy)
         p = tmp_path / "c.idx"
         save_index(index, p)
         back = load_index(p)
         for _, grid in corpus:
-            a = search(index, grid, toy, top_k=5)
-            b = search(back, grid, toy, top_k=5)
+            a = _search(index, grid, toy, top_k=5)
+            b = _search(back, grid, toy, top_k=5)
             assert [r for r, _ in a] == [r for r, _ in b]
             for (_, da), (_, db) in zip(a, b):
                 assert abs(da - db) <= 1e-9

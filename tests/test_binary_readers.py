@@ -8,20 +8,16 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-import warnings
-from contextlib import redirect_stderr
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import featkit
-from featkit.cli import main
 from featkit.errors import MalformedFile
 from featkit.features import load_features, save_features
 from featkit.retrieval import load_index, save_index
-from mutants import sweep
+from mutants import check_cli_rejects, run_cli, sweep
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = (DATA / "otidx1_small.idx").read_bytes()
@@ -198,33 +194,15 @@ def _otidx1_mutant(kind: str) -> bytes:
     return FIXTURE + b"x"
 
 
-def _run_cli(argv):
-    """(exit code, stderr lines, warnings) of one in-process command."""
-    err = StringIO()
-    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
-        warnings.simplefilter("always")
-        code = main([str(a) for a in argv])
-    return code, err.getvalue().splitlines(), caught
-
-
 class TestCliBadBinaryInput:
     """A bad FVEC1 or OTIDX1 file exits 2 with one ``featkit:`` line
     naming it, no warning and no output file."""
-
-    @staticmethod
-    def _check(path, out, result):
-        code, lines, caught = result
-        assert code == 2
-        assert len(lines) == 1 and lines[0].startswith("featkit: ")
-        assert str(path) in lines[0]
-        assert not caught
-        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["snan", "rows", "id", "tail"])
     def test_preprocess_fit(self, tmp_path, kind):
         path, out = tmp_path / "bad.fvec", tmp_path / "chain.pcaw"
         path.write_bytes(_fvec1_mutant(kind))
-        self._check(path, out, _run_cli([
+        check_cli_rejects(path, out, run_cli([
             "preprocess-fit", "--features", path, "--format", "binary",
             "--pca-dim", "2", "--out", out]))
 
@@ -234,7 +212,7 @@ class TestCliBadBinaryInput:
         path.write_bytes(_otidx1_mutant(kind))
         manifest = tmp_path / "queries.tsv"
         manifest.write_text("q0\tx\n")
-        self._check(path, out, _run_cli([
+        check_cli_rejects(path, out, run_cli([
             "query", "--index", path, "--queries", manifest,
             "--extractor", "file",
             "--features", DATA / "otidx1_small_queries.tsv",

@@ -185,6 +185,45 @@ class TestTrainPredict:
             ) == 0
             assert out.read_text() == "probe\tb\n"
 
+    def test_representation_suffix_is_ascii_digits(self, blob_data,
+                                                   tmp_path):
+        """Only ``#`` and ASCII digits mark a representation row: ``a#²``
+        and ``b#٣`` are ids of their own, as ``c#x`` is."""
+        matrix, _, fpath, lpath = blob_data
+        model_path = tmp_path / "m.tsvm"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ova", "--C", "1.0", "--model-out", model_path,
+        ) == 0
+        ids = ("a#0", "a#1", "a#\u00b2", "b#\u0663", "c#x", "d#07")
+        rpath = tmp_path / "reps.tsv"
+        save_features(FeatureMatrix(ids, matrix.values[:6]), rpath)
+        out = tmp_path / "scores.tsv"
+        assert run("predict", "--model", model_path, "--features", rpath,
+                   "--out", out) == 0
+        rows = [ln.split("\t")[0] for ln in
+                out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert rows == ["a", "a#\u00b2", "b#\u0663", "c#x", "d"]
+
+    def test_failed_model_write_leaves_no_file(self, blob_data, tmp_path,
+                                               monkeypatch, capsys):
+        _, _, fpath, lpath = blob_data
+
+        def disk_full(model, path):
+            with open(path, "w") as fh:
+                fh.write("OTSVM1\n")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(svm, "save_model", disk_full)
+        model_path = tmp_path / "m.tsvm"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ovo", "--C", "1.0", "--model-out", model_path,
+        ) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "feats.tsv", "labels.tsv"]
+
     def test_binary_feature_format(self, blob_data, tmp_path):
         matrix, _, _, lpath = blob_data
         bpath = tmp_path / "feats.fvec"
@@ -505,6 +544,38 @@ class TestIndexQuery:
             "query", "--index", index_path, "--queries", queries_manifest,
             "--extractor", "toy", "--top-k", "1", "--out", out,
         ) == 0
+
+    def test_query_levels_override(self, pgm_corpus, tmp_path):
+        """``query --h-q`` ranks each query by its patches at that many
+        levels, as search does on the index at that h_q."""
+        from dataclasses import replace
+
+        from featkit.errors import DimMismatch
+        from featkit.extractors import ToyPixelExtractor
+        from featkit.features import load_pgm
+        from featkit.retrieval import extract_patches, load_index, search
+
+        refs_manifest, queries_manifest = pgm_corpus
+        index_path, out = tmp_path / "c.idx", tmp_path / "rank.tsv"
+        assert run("index", "--images", refs_manifest, "--extractor", "toy",
+                   "--grid", "4", "--out", index_path) == 0
+        assert run(
+            "query", "--index", index_path, "--queries", queries_manifest,
+            "--extractor", "toy", "--grid", "4", "--h-q", "2",
+            "--top-k", "3", "--out", out,
+        ) == 0
+        index = load_index(index_path)
+        at_2 = replace(index, config=replace(index.config, h_q=2))
+        expected = []
+        for line in queries_manifest.read_text().splitlines():
+            qid, path = line.split("\t")
+            _, raw = extract_patches(ToyPixelExtractor(4),
+                                     [(qid, load_pgm(path))], 2)
+            expected += [f"{qid}\t{rank}\t{ref}\t{dist!r}" for rank, (
+                ref, dist) in enumerate(search(at_2, raw, top_k=3), 1)]
+        assert out.read_text().splitlines() == expected
+        with pytest.raises(DimMismatch):
+            search(index, raw, top_k=3)
 
     def test_external_extractor_via_stub(self, tmp_path):
         manifest = tmp_path / "refs.tsv"

@@ -1,4 +1,4 @@
-"""Smoke tests of the paper-scale probe's three modes at tiny sizes."""
+"""Smoke tests of the paper-scale probe's five modes at tiny sizes."""
 
 import importlib.util
 from pathlib import Path
@@ -82,4 +82,39 @@ def test_ovo_mode_times_the_model_text(capsys):
 def test_ovo_classes_must_be_at_least_two():
     with pytest.raises(SystemExit) as exc:
         _probe().main(["--ovo-classes", "1"])
+    assert exc.value.code == 2
+
+
+def test_cli_refs_mode_runs_index_and_query(capsys):
+    probe = _probe()
+    probe.DIM = 32  # as in the library index mode
+    assert probe.main(["--cli-refs", "3"]) == 0
+    fields = dict(line.split("\t")
+                  for line in capsys.readouterr().out.splitlines())
+    assert (fields["refs"], fields["patches"], fields["dim"]) == (
+        "3", "90", "32")
+    assert float(fields["patches_mb"]) >= 0.0
+    for command in ("index", "query"):
+        assert fields[f"{command}_exit"] == "0"
+        assert float(fields[f"{command}_s"]) > 0.0
+        assert float(fields[f"{command}_peak_rss_mb"]) > 0.0
+    assert fields["self_matches"] == "3/3"
+
+
+def test_cli_rows_mode_runs_train(capsys):
+    probe = _probe()
+    probe.DIM = 16
+    assert probe.main(["--cli-rows", "64"]) == 0
+    fields = dict(line.split("\t")
+                  for line in capsys.readouterr().out.splitlines())
+    assert (fields["rows"], fields["dim"]) == ("64", "16")
+    assert fields["train_exit"] == "0"
+    assert float(fields["train_s"]) > 0.0
+    assert float(fields["train_peak_rss_mb"]) > 0.0
+
+
+@pytest.mark.parametrize("argv", [["--cli-refs", "1"], ["--cli-rows", "40"]])
+def test_cli_modes_check_their_size(argv):
+    with pytest.raises(SystemExit) as exc:
+        _probe().main(argv)
     assert exc.value.code == 2

@@ -80,6 +80,20 @@ def _small_config(h_r=4, h_q=3):
     return SpatialSearchConfig(h_r=h_r, h_q=h_q, pca_dim=500)
 
 
+def _build(references, config, binding):
+    """build_index over the patches ``binding`` extracts for the (id,
+    image) pairs ``references``."""
+    rects, raw = extract_patches(binding, references, config.h_r)
+    return build_index([ref_id for ref_id, _ in references], rects, raw,
+                       config)
+
+
+def _search(index, image, binding, top_k):
+    """search with the query patches ``binding`` extracts from ``image``."""
+    _, raw = extract_patches(binding, [("q", image)], index.config.h_q)
+    return search(index, raw, top_k=top_k)
+
+
 class TestPatchGrid:
     def test_level_one_full_image(self):
         assert patch_grid(77, 41, 1) == [Rect(0, 0, 77, 41)]
@@ -260,11 +274,39 @@ class TestPrunedDistanceIsBitExact:
 
 
 class TestBuildIndex:
+    """build_index fits the chain on the raw patch rows it is given and
+    checks them first."""
+
+    @staticmethod
+    def _raw(rng, n_refs, h_r=2, dim=6):
+        return rng.normal(size=(n_refs * patch_count(h_r), dim))
+
+    @pytest.mark.parametrize("rows", [9, 11, 0])
+    def test_row_count_must_match_ids_and_h_r(self, rng, rows):
+        raw = rng.normal(size=(rows, 6))
+        with pytest.raises(DimMismatch):
+            build_index(["r0", "r1"], [(), ()], raw, _small_config(h_r=2))
+        with pytest.raises(DimMismatch):
+            build_index(["r0", "r1"], [(), ()], raw.ravel(),
+                        _small_config(h_r=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_value(self, rng, bad, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("fit before the checks")
+
+        monkeypatch.setattr(retrieval, "retrieval_pipeline_fit", no_fit)
+        raw = self._raw(rng, 3)
+        raw[7, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            build_index(["r0", "r1", "r2"], [()] * 3, raw,
+                        _small_config(h_r=2))
+
     def test_patch_counts_and_dims(self, rng):
         corpus = _toy_corpus(rng, n=4)
         toy = ToyPixelExtractor(4)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
+            index = _build(corpus, _small_config(), toy)
         assert len(index.ids) == 4
         assert index.vectors.shape == (4, 30, index.model.k)
         assert index.vectors.dtype == np.float32
@@ -275,9 +317,9 @@ class TestBuildIndex:
         corpus = _toy_corpus(rng, n=3)
         toy = ToyPixelExtractor(3)
         with pytest.warns(UserWarning):
-            a = build_index(corpus, _small_config(), toy)
+            a = _build(corpus, _small_config(), toy)
         with pytest.warns(UserWarning):
-            b = build_index(corpus, _small_config(), toy)
+            b = _build(corpus, _small_config(), toy)
         pa, pb = tmp_path / "a.idx", tmp_path / "b.idx"
         save_index(a, pa)
         save_index(b, pb)
@@ -285,15 +327,15 @@ class TestBuildIndex:
 
     def test_needs_two_references(self, rng):
         with pytest.raises(EmptyInput):
-            build_index(_toy_corpus(rng, n=1), _small_config(),
-                        ToyPixelExtractor(3))
+            _build(_toy_corpus(rng, n=1), _small_config(),
+                   ToyPixelExtractor(3))
 
     def test_single_level_is_whole_image_retrieval(self, rng):
         corpus = _toy_corpus(rng, n=4)
         toy = ToyPixelExtractor(3)
         cfg = _small_config(h_r=1, h_q=1)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, cfg, toy)
+            index = _build(corpus, cfg, toy)
         assert index.vectors.shape[1] == 1
         for rects, (rid, grid) in zip(index.rects, corpus):
             assert rects == (Rect(0, 0, grid.width, grid.height),)
@@ -304,7 +346,7 @@ class TestBuildIndex:
         corpus = _toy_corpus(rng, n=4)
         toy = ToyPixelExtractor(4)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
+            index = _build(corpus, _small_config(), toy)
         pre = np.sqrt(np.abs(index.vectors.astype(np.float64)))
         norms = np.linalg.norm(pre, axis=2)
         assert np.abs(norms - 1.0).max() <= 1e-6
@@ -320,9 +362,14 @@ class TestBuildIndex:
         binding = FileBackedExtractor(store)
         refs = [(f"ref{r}", None) for r in range(3)]
         with pytest.warns(UserWarning):
-            index = build_index(refs, _small_config(h_r=2, h_q=1), binding)
+            index = _build(refs, _small_config(h_r=2, h_q=1), binding)
         assert index.vectors.shape[:2] == (3, n_patches)
         assert index.rects == ((),) * 3
+        # the same rows given directly build the same index
+        with pytest.warns(UserWarning):
+            direct = build_index([r for r, _ in refs], index.rects,
+                                 store.values, index.config)
+        assert np.array_equal(direct.vectors, index.vectors)
 
 
 class TestSearch:
@@ -331,9 +378,9 @@ class TestSearch:
         toy = ToyPixelExtractor(4)
         cfg = _small_config(h_r=3, h_q=3)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, cfg, toy)
+            index = _build(corpus, cfg, toy)
         # same grids on both sides: every query patch exists verbatim
-        ranked = search(index, corpus[2][1], toy, top_k=5)
+        ranked = _search(index, corpus[2][1], toy, top_k=5)
         assert ranked[0][0] == "ref02"
         assert ranked[0][1] == 0.0
 
@@ -341,16 +388,16 @@ class TestSearch:
         corpus = _toy_corpus(rng, n=4)
         toy = ToyPixelExtractor(3)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
-        ranked = search(index, corpus[0][1], toy, top_k=50)
+            index = _build(corpus, _small_config(), toy)
+        ranked = _search(index, corpus[0][1], toy, top_k=50)
         assert len(ranked) == 4
 
     def test_distances_sorted_ascending(self, rng):
         corpus = _toy_corpus(rng, n=6)
         toy = ToyPixelExtractor(3)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
-        ranked = search(index, corpus[1][1], toy, top_k=6)
+            index = _build(corpus, _small_config(), toy)
+        ranked = _search(index, corpus[1][1], toy, top_k=6)
         dists = [d for _, d in ranked]
         assert dists == sorted(dists)
 
@@ -358,8 +405,8 @@ class TestSearch:
         corpus = _toy_corpus(rng, n=6)
         toy = ToyPixelExtractor(3)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
-        ranked = search(index, corpus[1][1], toy, top_k=6)
+            index = _build(corpus, _small_config(), toy)
+        ranked = _search(index, corpus[1][1], toy, top_k=6)
         ids = [rid for rid, _ in ranked]
         for f in (lambda d: 3 * d + 1, np.exp, lambda d: d ** 3):
             transformed = sorted(
@@ -386,10 +433,10 @@ class TestSearch:
         corpus = _toy_corpus(rng, n=8, size=48)
         toy = ToyPixelExtractor(4)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
+            index = _build(corpus, _small_config(), toy)
         for rid, grid in corpus:
             crop = grid.intensities[8:40, 8:40]
-            ranked = search(index, PixelGrid(crop), toy, top_k=1)
+            ranked = _search(index, PixelGrid(crop), toy, top_k=1)
             assert ranked[0][0] == rid
 
 
@@ -398,11 +445,9 @@ def _file_backed_index(rng, n_refs, h_r=2, h_q=2, dim=12, pca_dim=8):
     n_patches = patch_count(h_r)
     raw = {f"r{i}": rng.normal(size=(n_patches, dim)) for i in range(n_refs)}
     raw["r1"] = raw["r0"].copy()
-    ids = [f"{r}#{k}" for r in raw for k in range(n_patches)]
-    store = FeatureMatrix(tuple(ids), np.vstack(list(raw.values())))
     cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q, pca_dim=pca_dim)
-    index = build_index([(r, None) for r in raw], cfg,
-                        FileBackedExtractor(store))
+    index = build_index(list(raw), [()] * n_refs,
+                        np.vstack(list(raw.values())), cfg)
     return index, raw
 
 
@@ -445,7 +490,7 @@ class TestSearchEqualsBruteForce:
                 rng.normal(size=(patch_count(2), 12)),
             ]
             for raw_q in queries:
-                q = query_patch_vectors(index, raw_q, None)
+                q = query_patch_vectors(index, raw_q)
                 expected = _brute_force(index, q)
                 for top_k in (1, 2, 3, 5, n - 1, n, n + 3):
                     got = search(index, raw_q, top_k=top_k)
@@ -465,7 +510,7 @@ class TestSearchEqualsBruteForce:
         index, raw = _file_backed_index(rng, n_refs=6)
         index = _near_twins(rng, index, count=6)
         raw_q = rng.normal(size=(patch_count(2), 12))
-        q = query_patch_vectors(index, raw_q, None)
+        q = query_patch_vectors(index, raw_q)
         exact = {ref_id: query_distance(q, vecs)
                  for ref_id, vecs in zip(index.ids, index.vectors)}
         gaps = sorted(np.diff(sorted(exact.values())))
@@ -488,12 +533,17 @@ class TestSearchRejectsBadQueries:
         with pytest.raises(DimMismatch):
             search(index, rng.normal(size=(7, 12)))
         with pytest.raises(DimMismatch):
-            search(index, raw["r2"], h_q=1)
-        store = FeatureMatrix(tuple(f"q#{k}" for k in range(5)),
-                              rng.normal(size=(5, 12)))
+            search(index, raw["r2"])
+        rows = rng.normal(size=(5, 12))
         with pytest.raises(DimMismatch):
-            search(index, store)
-        assert len(search(index, store, h_q=2, top_k=3)) == 3
+            search(index, rows)
+        at_h_q_2 = replace(index, config=replace(index.config, h_q=2))
+        assert len(search(at_h_q_2, rows, top_k=3)) == 3
+
+    def test_wrong_width_query(self, rng):
+        index, _ = _file_backed_index(rng, n_refs=4, h_q=1)
+        with pytest.raises(DimMismatch):
+            search(index, rng.normal(size=(1, 11)))
 
 
 class TestReferenceIds:
@@ -507,7 +557,7 @@ class TestReferenceIds:
     def test_bad_ids_rejected_by_build_index(self, rng, ids):
         corpus = [(ref_id, _texture(rng)) for ref_id in ids]
         with pytest.raises(ValueError, match="reference id"):
-            build_index(corpus, _small_config(), ToyPixelExtractor(3))
+            _build(corpus, _small_config(), ToyPixelExtractor(3))
 
 
 class TestIndexPersistence:
@@ -515,7 +565,7 @@ class TestIndexPersistence:
         corpus = _toy_corpus(rng, n=5)
         toy = ToyPixelExtractor(4)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
+            index = _build(corpus, _small_config(), toy)
         p = tmp_path / "c.idx"
         save_index(index, p)
         back = load_index(p)
@@ -524,7 +574,7 @@ class TestIndexPersistence:
         assert back.rects == index.rects
         assert np.array_equal(back.vectors, index.vectors)
         query = corpus[3][1]
-        assert search(back, query, toy, top_k=5) == search(
+        assert _search(back, query, toy, top_k=5) == _search(
             index, query, toy, top_k=5
         )
 
@@ -538,7 +588,7 @@ class TestIndexPersistence:
         corpus = _toy_corpus(rng, n=3)
         toy = ToyPixelExtractor(3)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
+            index = _build(corpus, _small_config(), toy)
         p = tmp_path / "c.idx"
         save_index(index, p)
         blob = p.read_bytes()
@@ -550,7 +600,7 @@ class TestIndexPersistence:
         corpus = _toy_corpus(rng, n=3)
         toy = ToyPixelExtractor(3)
         with pytest.warns(UserWarning):
-            index = build_index(corpus, _small_config(), toy)
+            index = _build(corpus, _small_config(), toy)
         p = tmp_path / "c.idx"
         save_index(index, p)
         p.write_bytes(p.read_bytes() + b"junk")
@@ -601,13 +651,13 @@ class TestSelfMatchExactlyZero:
         refs, binding = _self_match_setup(binding_kind, h_r, dim, rng)
         cfg = SpatialSearchConfig(h_r=h_r, h_q=h_q, pca_dim=500)
         with pytest.warns(UserWarning):
-            index = build_index(refs, cfg, binding)
+            index = _build(refs, cfg, binding)
         tile = np.arange(patch_count(h_q)) % patch_count(h_r)
         _, raws = extract_patches(binding, refs, h_r)
         for (ref_id, image), raw in zip(refs, np.split(raws, len(refs))):
             assert search(index, raw[tile], top_k=1) == [(ref_id, 0.0)]
             if binding_kind == "toy" and h_q <= h_r:
-                assert search(index, image, binding, top_k=1) == [
+                assert _search(index, image, binding, top_k=1) == [
                     (ref_id, 0.0)
                 ]
 

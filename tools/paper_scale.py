@@ -1,10 +1,12 @@
 """Probe featkit at the paper's scale on seeded paper-shaped rows.
 
-Three modes, each run from a source tree:
+Five modes, each run from a source tree:
 
     python tools/paper_scale.py --rows 20000
     python tools/paper_scale.py --refs 1000
     python tools/paper_scale.py --ovo-classes 67
+    python tools/paper_scale.py --cli-refs 150
+    python tools/paper_scale.py --cli-rows 4000
 
 ``--rows`` trains one-vs-all SVMs.  The rows mimic the paper's training
 sets: each image has 16 views, the views are unit-norm 4096-d vectors
@@ -35,13 +37,30 @@ to a temporary file and ``load_model``, and prints tab-separated lines:
 the class and pair-model counts, each stage's seconds, the file bytes,
 whether the loaded weights equal the saved ones bit for bit, and the
 process's peak RSS.
+
+``--cli-refs N`` and ``--cli-rows N`` run the ``featkit`` commands
+themselves, each as a child process, on seeded FVEC1 files written to a
+temporary directory.  ``--cli-refs`` writes the ``--refs`` patches of N
+references and the first 14 patches of a few of them as queries, then
+runs ``featkit index --extractor file`` and ``featkit query``, and
+counts the queries that ranked their own reference first at distance
+0.0.  ``--cli-rows`` writes the ``--rows`` rows as 16 views ``id#0`` to
+``id#15`` per image with one label per image, then runs ``featkit train
+--augment --strategy ova``.  Each command prints three lines: its exit
+code, wall seconds and peak RSS in MiB, the ``ru_maxrss`` that ``wait4``
+reports for it.  The probe frees its arrays before the first command
+and starts each one from a small ``python -S`` helper, because a child
+forked from a large process counts that process's pages in its own
+``ru_maxrss``.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -50,8 +69,10 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
+from featkit.features import FeatureMatrix, save_features  # noqa: E402
 from featkit.preprocess import (  # noqa: E402
     retrieval_pipeline_apply,
     retrieval_pipeline_fit,
@@ -198,6 +219,92 @@ def _ovo_model(classes: int) -> None:
     print(f"weights_round_trip\t{int(same)}")
 
 
+# Run as ``python -S -c SPAWN command...``: starts the command and
+# prints its exit code, wall seconds and wait4 ru_maxrss (KiB).
+SPAWN = """\
+import os, sys, time
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), time.perf_counter() - t0,
+      usage.ru_maxrss)
+"""
+
+
+def _featkit(command: str, *args) -> None:
+    """Run ``featkit command args...`` from the spawn helper and print
+    its exit code, wall seconds and peak RSS."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", SPAWN, sys.executable, "-m",
+         "featkit.cli", command, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE,
+        text=True, check=True,
+    ).stdout
+    code, wall_s, rss_kib = out.split()
+    print(f"{command}_exit\t{code}\n{command}_s\t{float(wall_s):.2f}\n"
+          f"{command}_peak_rss_mb\t{int(rss_kib) / 1024:.1f}", flush=True)
+
+
+def _write_fvec1(path: Path, ids, x) -> None:
+    save_features(FeatureMatrix(tuple(ids), x), path, "binary")
+    print(f"{path.stem}_mb\t{path.stat().st_size / 2**20:.1f}")
+
+
+def _write_cli_refs(tmp: Path, refs: int, queries) -> None:
+    config = SpatialSearchConfig()
+    per_ref, q_rows = patch_count(config.h_r), patch_count(config.h_q)
+    x = paper_patches(0, refs, per_ref)
+    print(f"refs\t{refs}\npatches\t{x.shape[0]}\ndim\t{x.shape[1]}")
+    _write_fvec1(tmp / "patches.fvec",
+                 (f"r{i}#{k}" for i in range(refs) for k in range(per_ref)), x)
+    _write_fvec1(tmp / "queries.fvec",
+                 (f"r{i}#{k}" for i in queries for k in range(q_rows)),
+                 np.vstack([x[i * per_ref:i * per_ref + q_rows]
+                            for i in queries]))
+    (tmp / "refs.tsv").write_text("".join(f"r{i}\tx\n" for i in range(refs)))
+    (tmp / "queries.tsv").write_text("".join(f"r{i}\tx\n" for i in queries))
+
+
+def _cli_index(refs: int) -> None:
+    queries = np.linspace(0, refs - 1, min(SEARCHES, refs)).astype(int)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_cli_refs(tmp, refs, queries.tolist())
+        _featkit("index", "--images", tmp / "refs.tsv", "--extractor", "file",
+                 "--features", tmp / "patches.fvec", "--format", "binary",
+                 "--out", tmp / "corpus.idx")
+        _featkit("query", "--index", tmp / "corpus.idx", "--queries",
+                 tmp / "queries.tsv", "--extractor", "file", "--features",
+                 tmp / "queries.fvec", "--format", "binary", "--top-k", "1",
+                 "--out", tmp / "ranking.tsv")
+        ranking = tmp / "ranking.tsv"
+        lines = ranking.read_text().splitlines() if ranking.exists() else []
+    hits = sum(q == ref and dist == "0.0"
+               for q, _, ref, dist in (line.split("\t") for line in lines))
+    print(f"self_matches\t{hits}/{queries.size}")
+
+
+def _write_cli_rows(tmp: Path, rows: int) -> None:
+    images = rows // VIEWS
+    x, labels = paper_rows(0, images)
+    print(f"rows\t{x.shape[0]}\ndim\t{x.shape[1]}")
+    _write_fvec1(tmp / "rows.fvec",
+                 (f"s{i}#{v}" for i in range(images) for v in range(VIEWS)), x)
+    (tmp / "labels.tsv").write_text("".join(
+        f"s{i}\tc{cls}\n" for i, cls in enumerate(labels[::VIEWS].tolist())))
+
+
+def _cli_train(rows: int) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_cli_rows(tmp, rows)
+        _featkit("train", "--features", tmp / "rows.fvec", "--format",
+                 "binary", "--labels", tmp / "labels.tsv", "--strategy", "ova",
+                 "--augment", "--preset", "voc2007", "--model-out",
+                 tmp / "model.tsvm")
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = p.add_mutually_exclusive_group(required=True)
@@ -207,16 +314,28 @@ def main(argv=None) -> int:
                       help="index references, at least 2")
     mode.add_argument("--ovo-classes", type=int,
                       help="one-vs-one model classes, at least 2")
+    mode.add_argument("--cli-refs", type=int,
+                      help="references for featkit index and query, at "
+                      "least 2")
+    mode.add_argument("--cli-rows", type=int,
+                      help="rows for featkit train --augment, a multiple "
+                      "of 16")
     args = p.parse_args(argv)
-    if args.rows is not None:
-        if args.rows < VIEWS * CLASSES or args.rows % VIEWS:
-            p.error(f"--rows must be a multiple of 16, at least "
+    for rows in (args.rows, args.cli_rows):
+        if rows is not None and (rows < VIEWS * CLASSES or rows % VIEWS):
+            p.error(f"rows must be a multiple of 16, at least "
                     f"{VIEWS * CLASSES}")
+    for refs in (args.refs, args.cli_refs):
+        if refs is not None and refs < 2:
+            p.error("references must be at least 2")
+    if args.rows is not None:
         _train(args.rows)
     elif args.refs is not None:
-        if args.refs < 2:
-            p.error("--refs must be at least 2")
         _index(args.refs)
+    elif args.cli_rows is not None:
+        _cli_train(args.cli_rows)
+    elif args.cli_refs is not None:
+        _cli_index(args.cli_refs)
     else:
         if args.ovo_classes < 2:
             p.error("--ovo-classes must be at least 2")
