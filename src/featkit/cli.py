@@ -74,6 +74,14 @@ def _write_text(path, text: str) -> None:
     _atomic_write(path, _w)
 
 
+def _whole(path, lineno, text: str, what: str) -> int:
+    """``text`` read as a whole number written in ASCII digits."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise MalformedFile(f"{path}:{lineno}: {what} {text!r} is not a whole "
+                        "number in ASCII digits")
+
+
 def _load_manifest(path):
     rows = []
     seen = set()
@@ -88,14 +96,8 @@ def _load_manifest(path):
                 f"{path}:{lineno}: duplicate id {parts[0]!r}"
             )
         seen.add(parts[0])
-        if len(parts) == 4:
-            try:
-                size = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
-        else:
-            size = None, None
-        rows.append((parts[0], parts[1], *size))
+        size = [_whole(path, lineno, v, "image size") for v in parts[2:]]
+        rows.append((parts[0], parts[1], *(size or (None, None))))
     return rows
 
 
@@ -321,17 +323,18 @@ def _cmd_evaluate(args) -> int:
 
 
 def _read_ranking(path):
+    """Each query's references in rank order.  Ranks are whole numbers
+    from 1, no query repeats a rank or a reference, and every distance
+    is finite and at least 0."""
     out: dict = {}
+    distances, linenos = [], []
     for lineno, parts in _tsv_records(path, "ranking file"):
         if len(parts) != 4:
             raise MalformedFile(
                 f"{path}:{lineno}: expected "
                 "'query<TAB>rank<TAB>ref<TAB>distance'"
             )
-        try:
-            rank = int(parts[1])
-        except ValueError as exc:
-            raise MalformedFile(f"{path}:{lineno}: {exc}") from exc
+        rank = _whole(path, lineno, parts[1], "rank")
         if rank < 1:
             raise MalformedFile(f"{path}:{lineno}: rank must be at least 1")
         qid, ref = parts[0], parts[2]
@@ -343,6 +346,13 @@ def _read_ranking(path):
             )
         ranks[rank] = ref
         refs.add(ref)
+        distances.append(parts[3])
+        linenos.append(lineno)
+    dist = parse_rows(path, distances, linenos, 1)[:, 0]
+    bad = np.flatnonzero(~(np.isfinite(dist) & (dist >= 0.0)))
+    if bad.size:
+        raise MalformedFile(f"{path}:{linenos[bad[0]]}: distance must be "
+                            "finite and at least 0")
     return {
         q: [ranks[r] for r in sorted(ranks)] for q, (ranks, _) in out.items()
     }

@@ -14,9 +14,11 @@ callers plan against (None when the binding has none).
 * :class:`ExternalProcessExtractor` serves a whole batch with one session
   of the line protocol: request ``id<TAB>image_path<TAB>x,y,w,h``, reply
   ``id<TAB>v1,v2,...`` (comma-separated decimals), one reply per request
-  in any order; the process must exit 0 once stdin is closed.  An
-  extractor that sends no line for :data:`REPLY_TIMEOUT_S` seconds (from
-  the session start or its last reply) is killed.
+  in any order.  The requests come as a file on stdin, so the process
+  may reply per line or after EOF; it must exit 0 once it has answered.
+  An extractor that sends no complete reply line for
+  :data:`REPLY_TIMEOUT_S` seconds (from the session start or its last
+  one), or does not exit within that time after its last, is killed.
   Rotation/mirror geometry is appended to the region field as
   ``;rot=<deg>;mir=<0|1>``.  Its images are ``(path, width, height)``.
 """
@@ -24,10 +26,11 @@ callers plan against (None when the binding has none).
 from __future__ import annotations
 
 import math
+import os
+import select
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -57,19 +60,16 @@ class TransformPlan:
         return replace(self, mirrored=not self.mirrored)
 
 
-def format_region(rect: Rect, rotation_degrees: float = 0.0,
-                  mirrored: bool = False) -> str:
-    """Wire encoding of a region, with geometry suffix when non-trivial."""
-    base = f"{rect.x},{rect.y},{rect.w},{rect.h}"
-    if rotation_degrees != 0.0 or mirrored:
-        base += f";rot={rotation_degrees!r};mir={1 if mirrored else 0}"
-    return base
-
-
 def serialize_plan(plan: TransformPlan, width: int, height: int) -> str:
-    """Protocol region field for a plan, e.g. ``0,0,64,64;rot=20.0;mir=1``."""
-    rect = plan.crop if plan.crop is not None else Rect(0, 0, width, height)
-    return format_region(rect, plan.rotation_degrees, plan.mirrored)
+    """Protocol region field for a plan, e.g. ``0,0,64,64;rot=20.0;mir=1``:
+    the crop (the whole ``width`` x ``height`` image when None), then
+    the geometry suffix when the plan rotates or mirrors."""
+    r = plan.crop if plan.crop is not None else Rect(0, 0, width, height)
+    field = f"{r.x},{r.y},{r.w},{r.h}"
+    if plan.rotation_degrees != 0.0 or plan.mirrored:
+        field += (f";rot={plan.rotation_degrees!r};"
+                  f"mir={1 if plan.mirrored else 0}")
+    return field
 
 
 def rotate_nearest(image: np.ndarray, degrees: float) -> np.ndarray:
@@ -130,7 +130,7 @@ class ToyPixelExtractor:
 
     def _pool(self, image, plan: TransformPlan) -> np.ndarray:
         w, h = self.image_size(image)
-        rect = plan.crop if plan.crop is not None else image.full_rect()
+        rect = plan.crop if plan.crop is not None else Rect(0, 0, w, h)
         rect.require_within(w, h)
         pixels = rotate_nearest(image.intensities, plan.rotation_degrees)
         patch = pixels[rect.y : rect.y + rect.h, rect.x : rect.x + rect.w]
@@ -195,39 +195,34 @@ class ExternalProcessExtractor:
         return run_protocol(self.command, wire).values
 
 
-# Longest wait, in seconds, for the next reply line or for the exit
-# after the last one; an extractor silent for longer is killed.
+# Longest wait, in seconds, for the next complete reply line or for the
+# exit after the last one; an extractor silent for longer is killed.
 REPLY_TIMEOUT_S = 300.0
 
 
-def _send(stdin, payload: bytes) -> None:
-    """Writer thread: feed the request lines, then close stdin."""
-    try:
-        with stdin:
-            stdin.write(payload)
-    except BrokenPipeError:
-        pass  # the extractor stopped reading; its replies tell why
-
-
-def _stamped(lines, last: list):
-    """Yield ``lines``, keeping in ``last[0]`` the time the latest came."""
-    for line in lines:
-        last[0] = time.monotonic()
-        yield line
-
-
-def _watchdog(proc, last: list, finished, expired) -> None:
-    """Kill ``proc`` once ``last[0]`` is REPLY_TIMEOUT_S old, unless
-    ``finished`` is set first; ``expired`` records a kill."""
-    limit = REPLY_TIMEOUT_S
-    while not finished.wait(limit / 8):
-        if time.monotonic() - last[0] > limit:
-            expired.set()
-            proc.kill()
+def _timed_lines(stdout):
+    """Yield the lines read from the pipe ``stdout``, without their
+    newlines, then what follows the last newline at EOF.  Raises
+    TimeoutError when no complete line comes within
+    :data:`REPLY_TIMEOUT_S` seconds of the start or of the last one."""
+    poller = select.poll()
+    poller.register(stdout, select.POLLIN)
+    tail = bytearray()
+    deadline = time.monotonic() + REPLY_TIMEOUT_S
+    while poller.poll(max(0.0, deadline - time.monotonic()) * 1000):
+        chunk = os.read(stdout.fileno(), 1 << 16)
+        if not chunk:
+            yield tail
             return
+        tail += chunk
+        if b"\n" in chunk:
+            *lines, tail = tail.split(b"\n")
+            yield from lines
+            deadline = time.monotonic() + REPLY_TIMEOUT_S
+    raise TimeoutError
 
 
-def _read_replies(stdout, slot: dict):
+def _read_replies(lines, slot: dict):
     """Parse reply lines as they arrive into rows ordered by ``slot``.
 
     Raises on the first malformed, unrequested, duplicate, wrong-width
@@ -236,7 +231,7 @@ def _read_replies(stdout, slot: dict):
     """
     rows = None
     got = np.zeros(len(slot), dtype=bool)
-    for raw in stdout:
+    for raw in lines:
         line = raw.decode("utf-8", "replace").rstrip("\r\n")
         if not line.strip():
             continue
@@ -244,12 +239,9 @@ def _read_replies(stdout, slot: dict):
         if len(parts) != 2 or not parts[0]:
             raise ExtractorFailure(f"malformed reply line {line!r}")
         rid, payload = parts
-        try:
-            i = slot[rid]
-        except KeyError:
-            raise ProtocolViolation(
-                f"reply for unrequested id {rid!r}"
-            ) from None
+        i = slot.get(rid)
+        if i is None:
+            raise ProtocolViolation(f"reply for unrequested id {rid!r}")
         if got[i]:
             raise ProtocolViolation(f"duplicate reply for id {rid!r}")
         try:
@@ -273,64 +265,47 @@ def _read_replies(stdout, slot: dict):
 
 
 def run_protocol(command: str, requests) -> FeatureMatrix:
-    """Run one protocol session; ``requests`` are (id, path, region) tuples.
+    """Run one protocol session; ``requests`` are (id, path, region)
+    tuples, ``region`` a field as :func:`serialize_plan` writes it.
 
-    ``region`` may be a :class:`Rect` or a preformatted region field.
-    Request lines (UTF-8) are written by a separate thread while replies
-    are parsed as they arrive, so no reply text is buffered.
-    Replies are matched by id and returned in request order.  The
-    extractor is killed and reaped on any failure, interrupts included,
-    and when it sends no reply line, or does not exit after its last
-    one, within :data:`REPLY_TIMEOUT_S` seconds.
+    The request lines (UTF-8) are written to a temporary file that the
+    extractor reads as its stdin, so it may reply per line or after EOF.
+    Replies are parsed in the calling thread as they arrive, so no reply
+    text is buffered; they are matched by id and returned in request
+    order.  The extractor is killed and reaped on any failure,
+    interrupts included, and when it sends no complete reply line, or
+    does not exit after its last one, within :data:`REPLY_TIMEOUT_S`
+    seconds.
     """
-    ids, lines = [], []
-    for rid, path, region in requests:
-        field = format_region(region) if isinstance(region, Rect) else region
-        ids.append(rid)
-        lines.append(f"{rid}\t{path}\t{field}\n")
-    payload = "".join(lines).encode("utf-8")
+    requests = list(requests)
+    ids = [rid for rid, _, _ in requests]
     if not ids:
         raise ValueError("no requests for protocol session")
     slot = {rid: i for i, rid in enumerate(ids)}
     if len(slot) != len(ids):
         raise ValueError("duplicate request id in protocol session")
 
-    with tempfile.TemporaryFile() as err:
+    with tempfile.TemporaryFile() as inp, tempfile.TemporaryFile() as err:
+        inp.write("".join(f"{rid}\t{path}\t{region}\n"
+                          for rid, path, region in requests).encode("utf-8"))
+        inp.seek(0)
         try:
-            proc = subprocess.Popen(
-                shlex.split(command),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=err,
-            )
+            proc = subprocess.Popen(shlex.split(command), stdin=inp,
+                                    stdout=subprocess.PIPE, stderr=err)
         except OSError as exc:
             raise ExtractorFailure(f"cannot start extractor: {exc}") from exc
-        writer = threading.Thread(target=_send, args=(proc.stdin, payload))
-        writer.start()
-        last = [time.monotonic()]
-        finished, expired = threading.Event(), threading.Event()
-        watchdog = threading.Thread(
-            target=_watchdog, args=(proc, last, finished, expired)
-        )
-        watchdog.start()
         try:
-            rows, got = _read_replies(_stamped(proc.stdout, last), slot)
-            status = proc.wait()
-        except ExtractorFailure:
-            if not expired.is_set():
-                raise
-        finally:
-            finished.set()
-            proc.kill()  # no-op once the process has been reaped
-            proc.wait()
-            proc.stdout.close()
-            writer.join()
-            watchdog.join()
-        if expired.is_set():
+            rows, got = _read_replies(_timed_lines(proc.stdout), slot)
+            status = proc.wait(REPLY_TIMEOUT_S)
+        except (TimeoutError, subprocess.TimeoutExpired):
             raise ExtractorFailure(
                 f"extractor sent no reply line for {REPLY_TIMEOUT_S:g} s "
                 "and was killed"
-            )
+            ) from None
+        finally:
+            proc.kill()  # no-op once the process has been reaped
+            proc.wait()
+            proc.stdout.close()
         if status != 0:
             err.seek(0)
             tail = err.read().decode("utf-8", "replace").strip()

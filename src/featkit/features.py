@@ -116,8 +116,17 @@ class PixelGrid:
             )
         return cls(a.reshape(height, width))
 
-    def full_rect(self) -> Rect:
-        return Rect(0, 0, self.width, self.height)
+
+def first_nonfinite_row(a: np.ndarray):
+    """Index of the first row of the 2-D ``a`` that holds a NaN or an
+    infinity, or None.  Rows are checked in blocks of about 2**20
+    values, so no ``a``-sized mask is built."""
+    step = max(1, (1 << 20) // max(1, a.shape[1]))
+    for start in range(0, a.shape[0], step):
+        finite = np.isfinite(a[start:start + step]).all(axis=1)
+        if not finite.all():
+            return start + int(np.argmin(finite))
+    return None
 
 
 def check_ids(ids: tuple, what: str) -> None:
@@ -153,7 +162,7 @@ class FeatureMatrix:
         if a.shape[0] > 0 and a.shape[1] < 1:
             raise ValueError("feature dimension must be at least 1")
         check_ids(ids, "feature id")
-        if not np.all(np.isfinite(a)):
+        if first_nonfinite_row(a) is not None:
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "values", a)

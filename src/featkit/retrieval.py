@@ -28,6 +28,7 @@ from .features import (
     BinaryReader,
     Rect,
     check_ids,
+    first_nonfinite_row,
     fmt_float,
     iround,
     smallest_enclosing_square,
@@ -89,10 +90,10 @@ class RetrievalIndex:
         expected = (len(ids), patch_count(self.config.h_r), self.model.k)
         if v.shape != expected:
             raise ValueError(f"patch block {v.shape}, expected {expected}")
-        finite = np.isfinite(v).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"reference {ids[np.argmin(finite)]!r} has a "
-                             "non-finite patch vector")
+        bad = first_nonfinite_row(v.reshape(len(ids), -1))
+        if bad is not None:
+            raise ValueError(f"reference {ids[bad]!r} has a non-finite "
+                             "patch vector")
         if len(rects) != len(ids) or any(
                 r and len(r) != expected[1] for r in rects):
             raise ValueError("rect count does not match patch count")
@@ -181,10 +182,10 @@ def build_index(ids, rects, raw, config: SpatialSearchConfig
     if raw.ndim != 2 or raw.shape[0] != len(ids) * per_ref:
         raise DimMismatch(f"raw patch block {raw.shape}, expected "
                           f"{len(ids)} x {per_ref} rows")
-    for ref_id, block in zip(ids, np.split(raw, len(ids))):
-        if not np.isfinite(block).all():  # per reference: no n x d mask
-            raise ValueError(f"reference {ref_id!r} has a non-finite patch "
-                             "value")
+    bad = first_nonfinite_row(raw)
+    if bad is not None:
+        raise ValueError(f"reference {ids[bad // per_ref]!r} has a "
+                         "non-finite patch value")
     model = retrieval_pipeline_fit(raw, config.pca_dim, config.epsilon)
     processed = retrieval_pipeline_apply(model, config.power, raw,
                                          block=per_ref)

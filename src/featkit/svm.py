@@ -39,6 +39,7 @@ from .errors import (
 from .features import (
     FeatureMatrix,
     check_ids,
+    first_nonfinite_row,
     fmt_float,
     fmt_row,
     open_text,
@@ -178,7 +179,7 @@ def _as_xy(x, y):
         )
     if not np.all(np.abs(ya) == 1.0):
         raise ValueError("labels must be +1 or -1")
-    if not np.all(np.isfinite(xa)):
+    if first_nonfinite_row(xa) is not None:
         raise ValueError("feature values must be finite")
     return xa, ya
 

@@ -640,7 +640,11 @@ class TestExtractorSessions:
 
     def test_query_ranking_equals_per_query_sessions(self, external_corpus,
                                                      tmp_path):
-        from featkit.extractors import format_region, run_protocol
+        from featkit.extractors import (
+            TransformPlan,
+            run_protocol,
+            serialize_plan,
+        )
         from featkit.features import smallest_enclosing_square
         from featkit.retrieval import level_rects, load_index, search
 
@@ -658,7 +662,8 @@ class TestExtractorSessions:
             w, h = int(w), int(h)
             wire = [
                 (f"{qid}#{k}", path,
-                 format_region(smallest_enclosing_square(r, w, h)))
+                 serialize_plan(
+                     TransformPlan(smallest_enclosing_square(r, w, h)), w, h))
                 for k, r in enumerate(level_rects(w, h, 2))
             ]
             raw = run_protocol(stub_command("derive"), wire).values
@@ -841,6 +846,14 @@ _VALID_INPUTS = {
                  id="ranking-rank-zero"),
     pytest.param(_RECALL, "rank.tsv", "q1\t1\tr1\t0.1\nq1\t-2\tr2\t0.2\n",
                  2, id="ranking-rank-negative"),
+    *(pytest.param(_RECALL, "rank.tsv",
+                   f"q1\t1\tr1\t0.1\nq1\t{rank}\tr2\t0.2\n", 2,
+                   id=f"ranking-rank-{rank!r}")
+      for rank in ("+2", " 2", "1_0", "\u0662")),
+    *(pytest.param(_RECALL, "rank.tsv",
+                   f"q1\t1\tr1\t0.1\n\nq1\t2\tr2\t{d}\n", 3,
+                   id=f"ranking-distance-{d!r}")
+      for d in ("abc", "nan", "-1.0", "inf", "")),
     pytest.param(("evaluate", "ap", "--scores", "scores.tsv", "--truth",
                   "labels.tsv", "--out", "eval.tsv"),
                  "scores.tsv", "id\tx\ty\na\t0.1\t0.2\nb\t0.3\n", 3,
@@ -862,6 +875,11 @@ _VALID_INPUTS = {
     pytest.param(("index", "--images", "refs.tsv", "--grid", "2",
                   "--out", "corpus.idx"),
                  "refs.tsv", "\nr0\ta.pgm\t5\n", 2, id="manifest-three-fields"),
+    *(pytest.param(("index", "--images", "refs.tsv", "--grid", "2",
+                    "--out", "corpus.idx"),
+                   "refs.tsv", f"r0\ta.pgm\t16\t16\nr1\ta.pgm\t{w}\t16\n", 2,
+                   id=f"manifest-width-{w!r}")
+      for w in ("1_6", "\u0661\u0666", "+16", "-16")),
     pytest.param(_TRAIN, "labels.tsv", "a\tx\r\n\r\nb\r\n", 3,
                  id="labels-one-field"),
     pytest.param(_TRAIN, "feats.tsv", "a\t1.0\t2.0\nb\t3.0\n", 2,
@@ -873,7 +891,7 @@ def test_malformed_line_exit_2_names_path_and_line(
     tmp_path, capsys, argv, name, text, lineno
 ):
     for fname, content in {**_VALID_INPUTS, name: text}.items():
-        (tmp_path / fname).write_text(content, newline="")
+        (tmp_path / fname).write_text(content, encoding="utf-8", newline="")
     # every argument with a dot names a file under tmp_path
     args =[str(tmp_path / a) if "." in a else a for a in argv]
     assert main(args) == 2

@@ -18,9 +18,9 @@ from featkit.extractors import (
     FileBackedExtractor,
     ToyPixelExtractor,
     TransformPlan,
-    format_region,
     rotate_nearest,
     run_protocol,
+    serialize_plan,
 )
 from featkit.features import (
     FeatureMatrix,
@@ -133,18 +133,18 @@ class TestFileBacked:
 
 class TestExternalProtocol:
     def test_fixed_stub_gives_identical_rows(self, tmp_path):
-        reqs = [(f"r{i}", "img.pgm", Rect(0, 0, 4, 4)) for i in range(5)]
+        reqs = [(f"r{i}", "img.pgm", "0,0,4,4") for i in range(5)]
         m = run_protocol(stub_command("fixed"), reqs)
         assert m.n == 5 and m.dim == 4
         assert np.array_equal(m.values, np.tile([1, 2, 3, 4], (5, 1)))
 
     def test_reply_order_is_request_order(self):
-        reqs = [(f"r{i}", "x", Rect(0, 0, i + 1, 1)) for i in range(4)]
+        reqs = [(f"r{i}", "x", f"0,0,{i + 1},1") for i in range(4)]
         m = run_protocol(stub_command("derive"), reqs)
         assert m.ids == ("r0", "r1", "r2", "r3")
 
     def test_out_of_order_replies_accepted(self):
-        reqs = [(f"r{i}", "x", Rect(0, 0, i + 1, 1)) for i in range(4)]
+        reqs = [(f"r{i}", "x", f"0,0,{i + 1},1") for i in range(4)]
         ordered = run_protocol(stub_command("derive"), reqs)
         reversed_ = run_protocol(
             stub_command("reverse"), reqs
@@ -153,19 +153,19 @@ class TestExternalProtocol:
         assert np.array_equal(reversed_.values, ordered.values)
 
     def test_missing_reply_is_protocol_violation(self):
-        reqs = [("a", "x", Rect(0, 0, 1, 1)), ("b", "x", Rect(0, 0, 1, 1))]
+        reqs = [("a", "x", "0,0,1,1"), ("b", "x", "0,0,1,1")]
         with pytest.raises(ProtocolViolation, match="missing"):
             run_protocol(stub_command("omit-first"), reqs)
 
     def test_mixed_dims_is_protocol_violation(self):
-        reqs = [("a", "x", Rect(0, 0, 1, 1)), ("b", "x", Rect(0, 0, 1, 1))]
+        reqs = [("a", "x", "0,0,1,1"), ("b", "x", "0,0,1,1")]
         with pytest.raises(ProtocolViolation, match="dimension"):
             run_protocol(stub_command("mixed-dims"), reqs)
 
     def test_nonzero_exit_is_extractor_failure(self):
         with pytest.raises(ExtractorFailure, match="status 3"):
             run_protocol(
-                stub_command("crash"), [("a", "x", Rect(0, 0, 1, 1))]
+                stub_command("crash"), [("a", "x", "0,0,1,1")]
             )
 
     def test_single_extract_with_geometry_suffix(self):
@@ -178,9 +178,12 @@ class TestExternalProtocol:
         assert not np.array_equal(plain, rotated)
 
     def test_region_field_format(self):
-        assert format_region(Rect(1, 2, 3, 4)) == "1,2,3,4"
         assert (
-            format_region(Rect(0, 0, 8, 8), 20.0, True)
+            serialize_plan(TransformPlan(Rect(1, 2, 3, 4)), 8, 8)
+            == "1,2,3,4"
+        )
+        assert (
+            serialize_plan(TransformPlan(Rect(0, 0, 8, 8), 20.0, True), 8, 8)
             == "0,0,8,8;rot=20.0;mir=1"
         )
 
@@ -206,7 +209,7 @@ def _print_then_hang(lines) -> str:
 
 
 class TestStreamingSession:
-    two = [("a", "x", Rect(0, 0, 1, 1)), ("b", "x", Rect(0, 0, 1, 1))]
+    two = [("a", "x", "0,0,1,1"), ("b", "x", "0,0,1,1")]
 
     def test_malformed_line_fails_fast_and_reaps(self, popen_starts):
         t0 = time.monotonic()
@@ -242,7 +245,7 @@ class TestStreamingSession:
 
     def test_large_session_streams(self):
         # far more request and reply bytes than a pipe buffer holds
-        reqs = [(f"r{i}", "img", Rect(0, 0, i % 50 + 1, 1))
+        reqs = [(f"r{i}", "img", f"0,0,{i % 50 + 1},1")
                 for i in range(20000)]
         m = run_protocol(stub_command("derive"), reqs)
         assert m.n == 20000 and m.ids[-1] == "r19999"
@@ -266,7 +269,13 @@ class TestReplyDeadline:
         _python("import os, sys, time; sys.stdin.read(); "
                 "sys.stdout.write('a\\t1.0\\nb\\t2.0\\n'); "
                 "sys.stdout.flush(); os.close(1); time.sleep(60)"),
-    ], ids=["silent", "one-of-two", "no-exit"])
+        # a reply whose line never ends, however many bytes come
+        _python("import sys, time\n"
+                "sys.stdout.write('a\\t1.')\n"
+                "for _ in range(300):\n"
+                "    sys.stdout.write('0'); sys.stdout.flush(); "
+                "time.sleep(0.2)"),
+    ], ids=["silent", "one-of-two", "no-exit", "no-newline"])
     def test_silent_extractor_is_killed(self, popen_starts, command):
         t0 = time.monotonic()
         with pytest.raises(ExtractorFailure, match="no reply line for 0.5 s"):
@@ -283,11 +292,19 @@ class TestReplyDeadline:
                        "    time.sleep(0.3)\n"
                        "    print(line.split('\\t')[0] + '\\t1.0', "
                        "flush=True)")
-        reqs = [(f"r{i}", "img", Rect(0, 0, 1, 1)) for i in range(5)]
+        reqs = [(f"r{i}", "img", "0,0,1,1") for i in range(5)]
         t0 = time.monotonic()
         m = run_protocol(slow, reqs)
         assert time.monotonic() - t0 > 1.0
         assert m.ids == tuple(r for r, _, _ in reqs)
+
+    def test_line_in_two_writes_is_one_reply(self):
+        split = _python("import sys, time; sys.stdin.read(); "
+                        "sys.stdout.write('a\\t1.'); sys.stdout.flush(); "
+                        "time.sleep(0.2); sys.stdout.write('5\\nb\\t2.0\\n')")
+        m = run_protocol(split, self.two)
+        assert m.ids == ("a", "b")
+        assert np.array_equal(m.values, [[1.5], [2.0]])
 
 
 def _toy_requests(grid):

@@ -84,6 +84,18 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError, match="finite"):
             FeatureMatrix(("a",), [[np.nan]])
 
+    @pytest.mark.parametrize("shape", [(5, 3), (2**18 + 5, 4),
+                                       (3, 2**19 + 1)])
+    def test_first_nonfinite_row_matches_whole_mask(self, shape):
+        # the last two shapes span two and three blocks of rows
+        a = np.zeros(shape)
+        assert features.first_nonfinite_row(a) is None
+        for row, bad in [(shape[0] - 1, np.inf), (shape[0] // 2, -np.inf),
+                         (1, np.nan)]:
+            a[row, -1] = bad
+            whole = np.flatnonzero(~np.isfinite(a).all(axis=1))[0]
+            assert features.first_nonfinite_row(a) == whole
+
     def test_tab_in_id_rejected(self):
         with pytest.raises(ValueError):
             FeatureMatrix(("a\tb",), [[1.0]])

@@ -1,12 +1,15 @@
-"""PCAW1, OTSVM1, TSV features and labels under corrupt bytes: every
-mutant is rejected as ``MalformedFile`` naming the path or loads and
-round-trips, and the CLI reports a bad text file in one line."""
+"""PCAW1, OTSVM1, TSV features, labels and rankings under corrupt
+bytes: every mutant is rejected as ``MalformedFile`` naming the path or
+loads and round-trips, and the CLI reports a bad text file in one
+line."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from featkit.cli import _read_ranking
 from featkit.features import (
     FeatureMatrix,
     load_features,
@@ -20,6 +23,7 @@ from mutants import check_cli_rejects, run_cli, sweep
 
 DATA = Path(__file__).parent / "data"
 PCAW1 = (DATA / "pcaw1_grid_small.pcaw").read_bytes()
+RANKING = (DATA / "otidx1_small_ranking.tsv").read_bytes()
 
 
 def _structure(blob: bytes, head_lines: int = 2) -> list:
@@ -74,6 +78,26 @@ def _same_matrix(a, b) -> bool:
 LABELS = {"a": {"x", "y"}, "b": "x", "c d": "z"}
 
 
+def _load_ranking(path):
+    """:func:`_read_ranking`, holding a ranking it loads to the file rule:
+    every rank in ASCII digits, every distance finite and at least 0."""
+    rankings = _read_ranking(path)
+    for line in path.read_text(encoding="utf-8").split("\n"):
+        if line:
+            _, rank, _, distance = line.split("\t")
+            assert rank.isascii() and rank.isdigit(), line
+            assert math.isfinite(float(distance)), line
+            assert float(distance) >= 0.0, line
+    return rankings
+
+
+def _save_ranking(rankings, path):
+    path.write_text("".join(
+        f"{q}\t{rank}\t{ref}\t0.0\n"
+        for q, refs in rankings.items() for rank, ref in enumerate(refs, 1)
+    ), encoding="utf-8")
+
+
 class TestMutationSweep:
     def test_pcaw1_fixture_structure_and_sampled_bytes(self, tmp_path):
         assert len(PCAW1) == 2198
@@ -101,6 +125,12 @@ class TestMutationSweep:
         blob = _save_bytes(save_labels, LABELS, tmp_path / "seed.tsv")
         rejected, loaded = sweep(tmp_path / "m.tsv", blob, load_labels,
                                  save_labels, dict.__eq__, range(len(blob)))
+        assert rejected and loaded
+
+    def test_ranking_fixture_every_byte(self, tmp_path):
+        rejected, loaded = sweep(tmp_path / "m.tsv", RANKING, _load_ranking,
+                                 _save_ranking, dict.__eq__,
+                                 range(len(RANKING)))
         assert rejected and loaded
 
 
