@@ -7,7 +7,6 @@ from .augment import (
     augment_training_set,
     augmentation_plans,
     crop_rects,
-    enlarge_bbox,
     negative_expansion_plans,
     pool_responses,
     positive_mirror_plans,
@@ -26,8 +25,6 @@ from .features import (
     load_labels,
     load_pgm,
     save_features,
-    save_labels,
-    save_pgm,
     smallest_enclosing_square,
 )
 from .metrics import (
@@ -68,8 +65,7 @@ from .svm import (
     decision,
     load_model,
     objective,
-    ova_scores,
-    predict_ovo,
+    predict_ovo_from_scores,
     save_model,
     train_binary,
     train_one_vs_all,

@@ -92,23 +92,6 @@ def negative_expansion_plans(width: int, height: int) -> list:
     )
 
 
-def enlarge_bbox(rect: Rect, factor: float, width: int, height: int) -> Rect:
-    """Scale a box about its centre, then clip into the image.
-
-    Clipping shifts the centre only as far as needed to stay in bounds.
-    """
-    if factor < 1.0:
-        raise ValueError("enlargement factor must be >= 1")
-    rect.require_within(width, height)
-    nw = min(iround(factor * rect.w), width)
-    nh = min(iround(factor * rect.h), height)
-    x = rect.x + (rect.w - nw) // 2
-    y = rect.y + (rect.h - nh) // 2
-    x = min(max(x, 0), width - nw)
-    y = min(max(y, 0), height - nh)
-    return Rect(x, y, nw, nh)
-
-
 def pool_responses(scores, mode: str = "sum"):
     """Fuse per-representation decision values into one score.
 

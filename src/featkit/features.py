@@ -9,7 +9,7 @@ File formats handled here:
   u32-LE dimension, row-major IEEE-754 float32 LE payload, then one UTF-8
   newline-terminated id line per row.
 * Labels: ``id<TAB>label`` per line; repeated ids accumulate a label set.
-* Images: minimal grayscale PGM (P2/P5) reader/writer, intensities in [0, 1].
+* Images: minimal grayscale PGM (P2/P5) reader, intensities in [0, 1].
 """
 
 from __future__ import annotations
@@ -198,7 +198,8 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "tsv") -> None:
     """Write ``matrix`` so that :func:`load_features` can read it back.
 
     The binary format stores float32 payloads; matrices whose values are
-    float32-representable round-trip bit-exactly.
+    float32-representable round-trip bit-exactly.  A value beyond
+    float32's finite range raises ValueError before the file is opened.
     """
     if matrix.n == 0:
         raise EmptyInput("refusing to write an empty feature matrix")
@@ -207,10 +208,16 @@ def save_features(matrix: FeatureMatrix, path, fmt: str = "tsv") -> None:
             for fid, row in zip(matrix.ids, matrix.values):
                 fh.write(f"{fid}\t{fmt_row(row)}\n")
     elif fmt == "binary":
+        with np.errstate(over="ignore"):
+            values = matrix.values.astype("<f4")
+        bad = first_nonfinite_row(values)
+        if bad is not None:
+            raise ValueError(f"feature row {matrix.ids[bad]!r} holds a value "
+                             "beyond float32's finite range")
         with open(path, "wb") as fh:
             fh.write(FVEC_MAGIC)
             fh.write(struct.pack("<II", matrix.n, matrix.dim))
-            fh.write(matrix.values.astype("<f4").tobytes(order="C"))
+            fh.write(values.tobytes(order="C"))
             for fid in matrix.ids:
                 fh.write(fid.encode("utf-8") + b"\n")
     else:
@@ -393,14 +400,6 @@ def load_labels(path) -> dict:
     return labels
 
 
-def save_labels(labels: dict, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for fid, val in labels.items():
-            vals = sorted(val) if isinstance(val, (set, frozenset)) else [val]
-            for v in vals:
-                fh.write(f"{fid}\t{v}\n")
-
-
 def single_labels(labels: dict) -> dict:
     """Collapse a multi-label mapping to single labels, or fail loudly."""
     out = {}
@@ -470,12 +469,3 @@ def load_pgm(path) -> PixelGrid:
     if pixels.size and pixels.max() > maxval:
         raise MalformedFile(f"{path}: sample exceeds maxval")
     return PixelGrid.from_flat(width, height, pixels / maxval)
-
-
-def save_pgm(grid: PixelGrid, path, maxval: int = 255) -> None:
-    if not 1 <= maxval <= 255:
-        raise ValueError("maxval must be in [1, 255]")
-    data = np.rint(grid.intensities * maxval).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n%d\n" % (grid.width, grid.height, maxval))
-        fh.write(data.tobytes(order="C"))

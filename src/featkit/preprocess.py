@@ -65,9 +65,10 @@ def check_power_epsilon(*values: float) -> None:
 class PcaWhitenModel:
     """Mean, principal directions, and eigenvalues of a fitted basis.
 
-    ``components`` rows are orthonormal and ordered by non-increasing
-    eigenvalue; the sign convention makes each row's largest-magnitude
-    entry positive so fits are reproducible.
+    ``components`` rows are ordered by non-increasing eigenvalue.
+    :func:`pca_fit` gives orthonormal rows, with each row's
+    largest-magnitude entry positive so fits are reproducible; the
+    constructor checks neither property.
     """
 
     mean: np.ndarray        # (dim_in,)

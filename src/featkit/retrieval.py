@@ -10,6 +10,7 @@ distance to any reference patch.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,6 +98,13 @@ class RetrievalIndex:
         if len(rects) != len(ids) or any(
                 r and len(r) != expected[1] for r in rects):
             raise ValueError("rect count does not match patch count")
+        for r in itertools.chain.from_iterable(rects):
+            # OTIDX1 stores each rect as four u32 fields.
+            if not (isinstance(r, Rect) and all(
+                    isinstance(v, int) and v < 2**32
+                    for v in (r.x, r.y, r.w, r.h))):
+                raise ValueError(f"rect {r!r} is not a Rect of integers "
+                                 "below 2**32")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "rects", rects)
         object.__setattr__(self, "vectors", v)

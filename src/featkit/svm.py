@@ -533,25 +533,6 @@ def predict_ovo_from_scores(model: MulticlassModel, scores):
     return [model.classes[c] for c in best.argmax(axis=1).tolist()]
 
 
-def predict_ovo(model: MulticlassModel, x):
-    """Voted label for one input vector, or a list of labels for rows."""
-    scores = decision(model, x)
-    if scores.ndim == 1:
-        return predict_ovo_from_scores(model, scores[None, :])[0]
-    return predict_ovo_from_scores(model, scores)
-
-
-def ova_scores(model: MulticlassModel, x) -> np.ndarray:
-    """Per-class decision values, (K,) or (n, K); skipped classes are NaN."""
-    if model.strategy != "ova":
-        raise ValueError("per-class scores require a one-vs-all model")
-    a = np.asarray(x, dtype=np.float64)
-    out = np.full(a.shape[:-1] + (len(model.classes),), np.nan)
-    if model.models:
-        out[..., sorted(model.models)] = decision(model, a)
-    return out
-
-
 def format_model_key(strategy: str, key) -> str:
     return str(key) if strategy == "ova" else f"{key[0]},{key[1]}"
 

@@ -28,8 +28,6 @@ from featkit.features import (
     PixelGrid,
     load_features,
     save_features,
-    save_labels,
-    save_pgm,
 )
 from featkit.metrics import (
     average_precision,
@@ -55,7 +53,7 @@ from featkit.svm import (
     SolverConfig,
     decision,
     load_model,
-    predict_ovo,
+    predict_ovo_from_scores,
     save_model,
     train_binary,
     train_one_vs_one,
@@ -69,6 +67,7 @@ from oracles import (
     svm_subgradient_oracle_batch,
 )
 from test_retrieval import _build, _search, _texture
+from writers import save_labels, save_pgm
 
 
 def _report(name):
@@ -249,7 +248,8 @@ class TestC07EndToEndClassification:
         assert nc_acc >= 0.95  # separation is adequate by construction
 
         model = train_one_vs_one(train, train_labels, SolverConfig(C=1.0))
-        preds = [predict_ovo(model, row) for row in test.values]
+        preds = [predict_ovo_from_scores(model, decision(model, row)[None])[0]
+                 for row in test.values]
         acc = mean_diag_accuracy(confusion(preds, truth, classes))
         elapsed = time.perf_counter() - start
         assert acc >= 0.95
@@ -395,7 +395,9 @@ class TestC10PersistenceRoundTrips:
         save_model(model, p)
         back = load_model(p)
         for row in rng.normal(size=(100, 5)):
-            assert predict_ovo(back, row) == predict_ovo(model, row)
+            assert (predict_ovo_from_scores(back, decision(back, row)[None])
+                    == predict_ovo_from_scores(model,
+                                               decision(model, row)[None]))
             for key in model.models:
                 delta = abs(
                     decision(back.models[key], row)

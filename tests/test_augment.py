@@ -9,7 +9,6 @@ from featkit.augment import (
     augment_training_set,
     augmentation_plans,
     crop_rects,
-    enlarge_bbox,
     negative_expansion_plans,
     plan_representation_id,
     pool_responses,
@@ -132,36 +131,6 @@ class TestPositiveAndNegativePlans:
     def test_degenerate(self):
         with pytest.raises(DegenerateImage):
             negative_expansion_plans(1, 10)
-
-
-class TestEnlargeBbox:
-    def test_hand_case(self):
-        out = enlarge_bbox(Rect(40, 40, 20, 20), 1.5, 100, 100)
-        assert (out.x, out.y, out.w, out.h) == (35, 35, 30, 30)
-
-    def test_factor_one_identity(self):
-        r = Rect(3, 4, 10, 12)
-        assert enlarge_bbox(r, 1.0, 50, 50) == r
-
-    @given(st.data())
-    def test_corner_clipping(self, data):
-        w = data.draw(st.integers(20, 120))
-        h = data.draw(st.integers(20, 120))
-        bw = data.draw(st.integers(2, w))
-        bh = data.draw(st.integers(2, h))
-        rect = Rect(
-            data.draw(st.integers(0, w - bw)),
-            data.draw(st.integers(0, h - bh)),
-            bw,
-            bh,
-        )
-        out = enlarge_bbox(rect, 1.5, w, h)
-        assert out.within(w, h)
-        # sides never exceed the rounded target nor the image
-        assert out.w <= min(round(1.5 * rect.w + 0.5), w)
-        assert out.h <= min(round(1.5 * rect.h + 0.5), h)
-        assert out.w >= rect.w or out.w == w
-        assert out.h >= rect.h or out.h == h
 
 
 class TestPoolResponses:

@@ -9,9 +9,8 @@ from featkit.features import (
     FeatureMatrix,
     PixelGrid,
     save_features,
-    save_labels,
-    save_pgm,
 )
+from writers import save_labels, save_pgm
 
 
 def run(*argv):

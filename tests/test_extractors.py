@@ -1,6 +1,7 @@
 import shlex
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -45,6 +46,39 @@ def _lookup(binding, rep_id):
 def test_binding_surface_is_image_size_and_extract_batch(binding):
     public = {name for name in vars(binding) if not name.startswith("_")}
     assert public == {"extract_batch", "image_size"}
+
+
+PACKAGE_SURFACE = (
+    "AugmentConfig", "BinaryModel", "C_PRESETS", "ExternalProcessExtractor",
+    "FeatureMatrix", "FileBackedExtractor", "MulticlassModel",
+    "PcaWhitenModel", "PixelGrid", "Rect", "RetrievalIndex", "SolverConfig",
+    "SpatialSearchConfig", "ToyPixelExtractor", "TransformPlan",
+    "augment_training_set", "augmentation_plans", "average_precision",
+    "build_index", "confusion", "crop_rects", "decision", "extract_patches",
+    "l2_normalize", "load_features", "load_index", "load_labels",
+    "load_model", "load_pca_model", "load_pgm", "mean_ap",
+    "mean_diag_accuracy", "negative_expansion_plans", "objective",
+    "patch_grid", "pca_fit", "pca_whiten_apply", "pool_responses",
+    "positive_mirror_plans", "pr_curve", "predict_ovo_from_scores",
+    "query_distance", "recall_at_k", "retrieval_pipeline_apply",
+    "retrieval_pipeline_fit", "save_features", "save_index", "save_model",
+    "save_pca_model", "search", "signed_power", "smallest_enclosing_square",
+    "train_binary", "train_one_vs_all", "train_one_vs_one",
+)
+
+
+def test_package_surface_is_what_commands_reach():
+    """featkit exports only the names listed above, and the helpers that
+    no command reached are gone from their modules."""
+    public = {name for name, value in vars(featkit).items()
+              if not name.startswith("_")
+              and not isinstance(value, types.ModuleType)}
+    assert public == set(PACKAGE_SURFACE)
+    for module, name in [("svm", "ova_scores"), ("svm", "predict_ovo"),
+                         ("augment", "enlarge_bbox"),
+                         ("features", "save_labels"),
+                         ("features", "save_pgm")]:
+        assert not hasattr(getattr(featkit, module), name)
 
 
 class TestToyPixel:

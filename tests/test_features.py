@@ -1,4 +1,5 @@
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +19,11 @@ from featkit.features import (
     load_labels,
     load_pgm,
     save_features,
-    save_labels,
-    save_pgm,
     single_labels,
     smallest_enclosing_square,
 )
 from oracles import smallest_square_oracle, tsv_features_oracle
+from writers import save_labels, save_pgm
 
 # Values float() reads and numpy does not, text neither reads (the empty
 # field included), and numbers padded with ASCII separators numpy strips
@@ -249,6 +249,20 @@ class TestBinaryFormat:
         m = FeatureMatrix((), np.zeros((0, 3)))
         with pytest.raises(EmptyInput):
             save_features(m, tmp_path / "f.fvec", "binary")
+
+    def test_beyond_float32_refused_before_writing(self, tmp_path):
+        f32_max = float(np.finfo(np.float32).max)
+        m = FeatureMatrix(("a", "b", "c"),
+                          [[f32_max, 1.0], [-1e39, 0.0], [1e300, 1.0]])
+        p = tmp_path / "f.fvec"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="row 'b'"):
+                save_features(m, p, "binary")
+            assert not p.exists()
+            save_features(FeatureMatrix(("a",), m.values[:1]), p, "binary")
+        assert np.array_equal(load_features(p, "binary").values,
+                              m.values[:1])
 
 
 class TestLabels:

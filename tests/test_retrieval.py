@@ -616,6 +616,18 @@ def test_entry_validation(rng):
                        index.config)
 
 
+@pytest.mark.parametrize("bad", [
+    (0, 0, 1, 1), Rect(0.5, 0, 1, 1), Rect(2**33, 0, 1, 1),
+], ids=["tuple", "float", "beyond-u32"])
+def test_rect_otidx1_cannot_store_rejected(rng, bad):
+    index, _ = _file_backed_index(rng, n_refs=3)
+    patches = index.vectors.shape[1]
+    rects = ((Rect(0, 0, 1, 1),) * (patches - 1) + (bad,), (), ())
+    with pytest.raises(ValueError, match=r"below 2\*\*32"):
+        RetrievalIndex(index.ids, rects, index.vectors, index.model,
+                       index.config)
+
+
 def _self_match_setup(binding_kind, h_r, dim, rng):
     """(references, binding) with five references of ``dim``-d patches."""
     n_refs, n_patches = 5, patch_count(h_r)

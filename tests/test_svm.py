@@ -22,8 +22,6 @@ from featkit.svm import (
     decision,
     load_model,
     objective,
-    ova_scores,
-    predict_ovo,
     predict_ovo_from_scores,
     save_model,
     train_binary,
@@ -573,12 +571,15 @@ class TestDecision:
         feats, labels = _blobs(rng, classes=("a", "b", "c", "d"))
         x = rng.normal(size=(30, feats.dim)) * 3.0
         ova = train_one_vs_all(feats, labels, SolverConfig(C=1.0))
-        rows = ova_scores(ova, x)
+        rows = decision(ova, x)
         assert rows.shape == (30, 4)
         for i, row in enumerate(x):
-            assert np.abs(rows[i] - ova_scores(ova, row)).max() <= 1e-12
+            assert np.abs(rows[i] - decision(ova, row)).max() <= 1e-12
         ovo = train_one_vs_one(feats, labels, SolverConfig(C=1.0))
-        assert predict_ovo(ovo, x) == [predict_ovo(ovo, row) for row in x]
+        assert predict_ovo_from_scores(ovo, decision(ovo, x)) == [
+            predict_ovo_from_scores(ovo, decision(ovo, row)[None])[0]
+            for row in x
+        ]
 
 
 def _blobs(rng, n_per_class=20, d=6, spread=0.25, classes=("a", "b", "c")):
@@ -617,7 +618,7 @@ class TestOneVsAll:
     def test_separable_blobs_reach_ap_one(self, rng):
         feats, labels = _blobs(rng, spread=0.05)
         model = train_one_vs_all(feats, labels, SolverConfig(C=5.0))
-        scores = np.stack([ova_scores(model, row) for row in feats.values])
+        scores = np.stack([decision(model, row) for row in feats.values])
         for ci, cls in enumerate(model.classes):
             truth = [labels[fid] == cls for fid in feats.ids]
             assert average_precision(scores[:, ci], truth) == 1.0
@@ -655,7 +656,8 @@ class TestOneVsOne:
         model = train_one_vs_one(feats, labels, SolverConfig(C=1.0))
         assert len(model.models) == 1
         for fid, row in zip(feats.ids, feats.values):
-            voted = predict_ovo(model, row)
+            voted = predict_ovo_from_scores(model,
+                                            decision(model, row)[None])[0]
             s = decision(model.models[(0, 1)], row)
             assert voted == ("a" if s >= 0 else "b")
 
@@ -761,7 +763,9 @@ class TestModelPersistence:
         assert back.classes == model.classes
         probes = rng.normal(size=(100, feats.dim))
         for row in probes:
-            assert predict_ovo(back, row) == predict_ovo(model, row)
+            assert (predict_ovo_from_scores(back, decision(back, row)[None])
+                    == predict_ovo_from_scores(model,
+                                               decision(model, row)[None]))
             for key in model.models:
                 assert abs(
                     decision(back.models[key], row)
@@ -775,8 +779,7 @@ class TestModelPersistence:
         save_model(model, p)
         back = load_model(p)
         for row in rng.normal(size=(20, feats.dim)):
-            assert np.array_equal(ova_scores(back, row),
-                                  ova_scores(model, row))
+            assert np.array_equal(decision(back, row), decision(model, row))
 
     def test_truncated_rejected(self, tmp_path, rng):
         feats, labels = _blobs(rng)

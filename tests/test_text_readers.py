@@ -15,11 +15,11 @@ from featkit.features import (
     load_features,
     load_labels,
     save_features,
-    save_labels,
 )
 from featkit.preprocess import load_pca_model, save_pca_model
 from featkit.svm import BinaryModel, MulticlassModel, load_model, save_model
 from mutants import check_cli_rejects, run_cli, sweep
+from writers import save_labels
 
 DATA = Path(__file__).parent / "data"
 PCAW1 = (DATA / "pcaw1_grid_small.pcaw").read_bytes()
