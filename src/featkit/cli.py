@@ -430,7 +430,7 @@ def _cmd_query(args) -> int:
 
 def _cmd_preprocess_fit(args) -> int:
     matrix = load_features(args.features, args.format)
-    model = retrieval_pipeline_fit(matrix, args.pca_dim, args.epsilon)
+    model = retrieval_pipeline_fit(matrix.values, args.pca_dim, args.epsilon)
     _atomic_write(args.out, lambda p: save_pca_model(model, p))
     return 0
 

@@ -37,7 +37,7 @@ class DegenerateImage(FeatkitError):
     """Image or crop dimensions collapse to zero pixels."""
 
 
-class EmptyInput(FeatkitError):
+class EmptyInput(FeatkitError, ValueError):
     """An operation received an empty sequence it cannot handle."""
 
 

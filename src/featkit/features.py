@@ -130,12 +130,16 @@ def first_nonfinite_row(a: np.ndarray):
 
 
 def check_ids(ids: tuple, what: str) -> None:
-    """Raise ValueError unless every id is a non-empty string, free of
-    tabs and line breaks (the TSV and OTIDX1 separators) and unique."""
+    """Raise ValueError unless ids are unique non-empty strings free of
+    tabs, line breaks (the separators) and lone surrogates (not UTF-8)."""
     for i in ids:
         if (not (isinstance(i, str) and i)
                 or "\t" in i or "\n" in i or "\r" in i):
             raise ValueError(f"invalid {what} {i!r}")
+    try:
+        "".join(ids).encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"a {what} holds a lone surrogate") from None
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate {what}s")
 

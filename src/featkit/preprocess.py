@@ -24,7 +24,7 @@ from .errors import (
     MalformedFile,
     RankDeficientWarning,
 )
-from .features import FeatureMatrix, fmt_float, fmt_row, open_text, parse_rows
+from .features import fmt_float, fmt_row, open_text, parse_rows
 
 PCAW_MAGIC = "PCAW1"
 
@@ -59,6 +59,16 @@ def check_power_epsilon(*values: float) -> None:
     """Reject a chain power or epsilon that is not positive and finite."""
     if not all(0 < v < np.inf for v in values):
         raise ValueError("power and epsilon must be positive and finite")
+
+
+def check_count(what: str, *values) -> None:
+    """Reject a count (patch levels, a dimension, a block size) that is
+    not an ``int`` of at least 1; a ``bool`` is not a count."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{what}: {v!r} is not an integer")
+        if v < 1:
+            raise ValueError(f"{what} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,7 @@ def pca_fit(x, k: int, epsilon: float) -> PcaWhitenModel:
     against 0.48 s for the shortest round-trip text of an off-grid basis),
     and :func:`~featkit.features.parse_rows` reads it in one call.
     """
-    a = x.values if isinstance(x, FeatureMatrix) else np.asarray(x, float)
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 2:
         raise ValueError("pca_fit needs a 2-D matrix with n >= 2 rows")
     n, d = a.shape
@@ -156,44 +166,21 @@ def pca_fit(x, k: int, epsilon: float) -> PcaWhitenModel:
     return PcaWhitenModel(mean, comps, eigs, epsilon)
 
 
-def pca_whiten_apply(model: PcaWhitenModel, v, block: int = 1
-                     ) -> np.ndarray:
+def pca_whiten_apply(model: PcaWhitenModel, v) -> np.ndarray:
     """Project onto the fitted basis and scale to unit variance per axis.
 
-    ``v`` is one vector (d,) or rows (n, d).  With ``block=1`` each row is
-    projected by its own matrix-vector product, stacked into one call, so
-    a row's bits do not depend on its batch and a batch of one is the
-    single-vector chain.  A larger ``block`` projects each run of
-    ``block`` rows with one ``(block, d) @ components.T`` product, the
-    last run zero-padded to full size.  A row's bits then depend on its
-    position in the run, on the run's shape, and on the BLAS build and
-    thread count, but not on the contents of the other rows; the same
-    row at the same position of another run gets the same bits.
+    ``v`` is one vector (d,) or rows (n, d), projected by one
+    ``(v - mean) @ components.T`` product, so a row's bits depend on its
+    position, the row count and the BLAS, not on the other rows.
     """
     a = np.asarray(v, dtype=np.float64)
     if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
-    if block < 1:
-        raise ValueError("block must be at least 1")
-    rows = np.atleast_2d(a)
-    n = rows.shape[0]
-    out = np.empty((n, model.k))
-    if block == 1:
-        np.matmul(model.components, (rows - model.mean)[:, :, None],
-                  out=out[:, :, None])
-    else:
-        comps_t = model.components.T
-        buf = np.zeros((block, model.dim_in))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            if stop - start < block:
-                buf[stop - start:] = 0.0
-            np.subtract(rows[start:stop], model.mean, out=buf[: stop - start])
-            out[start:stop] = (buf @ comps_t)[: stop - start]
+    out = (a - model.mean) @ model.components.T
     out /= np.sqrt(model.eigenvalues + model.epsilon)
-    return out[0] if a.ndim == 1 else out
+    return out
 
 
 def retrieval_pipeline_fit(x, pca_dim: int, epsilon: float
@@ -202,13 +189,12 @@ def retrieval_pipeline_fit(x, pca_dim: int, epsilon: float
     by the same :func:`_unit_rows` that :func:`retrieval_pipeline_apply`
     scales its input with.
 
-    ``pca_dim`` is clamped to min(n - 1, d) with a warning, so small
-    corpora still fit.
+    ``pca_dim`` is a whole number, clamped to min(n - 1, d) with a
+    warning, so small corpora still fit.
     """
-    if pca_dim < 1:
-        raise ValueError("pca_dim must be at least 1")
+    check_count("pca_dim", pca_dim)
     check_power_epsilon(epsilon)
-    a = x.values if isinstance(x, FeatureMatrix) else np.asarray(x, float)
+    a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 2:
         raise ValueError("pipeline fit needs a 2-D matrix with n >= 2 rows")
     n, d = a.shape
@@ -226,12 +212,12 @@ def retrieval_pipeline_apply(model: PcaWhitenModel, power: float, v,
                              block: int = 1) -> np.ndarray:
     """Full chain for one vector (d,) or for each row of (n, d).
 
-    Output has ``model.k`` columns; a 1-D input is a batch of one.  The
-    projection runs ``block`` rows per product (see
-    :func:`pca_whiten_apply`); every other step works row by row, so a
-    row's bits depend on its position in its block, the block shape and
-    the BLAS build and thread count, never on the other rows' contents.
-    The default ``block=1`` makes each row equal the one-vector chain.
+    Output has ``model.k`` columns; a 1-D input is a batch of one.  Each
+    run of ``block`` rows is scaled to unit length and projected by one
+    :func:`pca_whiten_apply` call, the last run padded with rows of
+    ``model.mean``, which centre to zero.  So a row's bits depend on its
+    position in its run, the block size and the BLAS, never on the other
+    rows; the default ``block=1`` gives each row the one-vector chain.
     """
     check_power_epsilon(power)
     a = np.asarray(v, dtype=np.float64)
@@ -239,7 +225,15 @@ def retrieval_pipeline_apply(model: PcaWhitenModel, power: float, v,
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
-    z = pca_whiten_apply(model, _unit_rows(np.atleast_2d(a)), block)
+    check_count("block", block)
+    rows = np.atleast_2d(a)
+    z = np.empty((len(rows), model.k))
+    run = np.empty((block, model.dim_in))
+    for start in range(0, len(rows), block):
+        m = min(block, len(rows) - start)
+        run[:m] = _unit_rows(rows[start : start + m])
+        run[m:] = model.mean
+        z[start : start + m] = pca_whiten_apply(model, run)[:m]
     out = signed_power(_unit_rows(z), power)
     return out[0] if a.ndim == 1 else out
 

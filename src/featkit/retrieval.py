@@ -36,6 +36,7 @@ from .features import (
 )
 from .preprocess import (
     PcaWhitenModel,
+    check_count,
     check_power_epsilon,
     dump_pca_model_text,
     parse_pca_model_text,
@@ -57,10 +58,8 @@ class SpatialSearchConfig:
     epsilon: float = 1e-10
 
     def __post_init__(self):
-        if self.h_r < 1 or self.h_q < 1:
-            raise ValueError("h_r and h_q must be at least 1")
-        if self.pca_dim < 1:
-            raise ValueError("pca_dim must be at least 1")
+        check_count("h_r and h_q", self.h_r, self.h_q)
+        check_count("pca_dim", self.pca_dim)
         check_power_epsilon(self.power, self.epsilon)
 
 
@@ -79,7 +78,11 @@ class RetrievalIndex:
     config: SpatialSearchConfig
 
     def __post_init__(self):
-        ids, rects = tuple(self.ids), tuple(map(tuple, self.rects))
+        ids = tuple(self.ids)
+        try:
+            rects = tuple(map(tuple, self.rects))
+        except TypeError:
+            raise ValueError("rects must be rect sequences") from None
         check_ids(ids, "reference id")
         if len(ids) < 2:
             raise ValueError("an index needs at least two references")
@@ -128,8 +131,7 @@ def patch_grid(width: int, height: int, level: int) -> list:
     axis run evenly from 0 to L - side, giving roughly 50% overlap and
     full coverage; level 1 is the whole image.
     """
-    if level < 1:
-        raise ValueError("level must be at least 1")
+    check_count("level", level)
     side_w = iround(width * 2.0 / (level + 1))
     side_h = iround(height * 2.0 / (level + 1))
     if side_w < 1 or side_h < 1:
@@ -155,8 +157,7 @@ def extract_patches(binding, images, levels: int):
     has no image geometry), and all their raw patches as one
     (images * patch_count(levels), dim) block, image after image, from
     one ``binding.extract_batch`` call of ``image_id#k`` requests."""
-    if levels < 1:
-        raise ValueError("patch levels must be at least 1")
+    check_count("patch levels", levels)
     rects, requests = [], []
     for image_id, image in images:
         size = binding.image_size(image)

@@ -348,6 +348,27 @@ def fixed_decimal_rows_oracle(components) -> str:
 
 
 # --------------------------------------------------------------------
+# The retrieval chain, row by row
+# --------------------------------------------------------------------
+
+
+def _stacked_unit_rows(a):
+    norms = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0])
+    return a / np.where(norms == 0.0, 1.0, norms)
+
+
+def stacked_chain_oracle(model, power, rows):
+    """L2 -> PCA-whitening -> L2 -> signed power over the rows of
+    ``rows``, each step a stacked per-row product: one dot product per
+    row for each norm and ``np.matmul(components, (u - mean)[:, :, None])``
+    for the projection, so no row's bits depend on another row."""
+    u = _stacked_unit_rows(np.asarray(rows, dtype=np.float64))
+    z = np.matmul(model.components, (u - model.mean)[:, :, None])[:, :, 0]
+    z = _stacked_unit_rows(z / np.sqrt(model.eigenvalues + model.epsilon))
+    return np.sign(z) * np.abs(z) ** power
+
+
+# --------------------------------------------------------------------
 # TSV feature parsing
 # --------------------------------------------------------------------
 

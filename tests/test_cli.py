@@ -125,6 +125,29 @@ class TestTrainPredict:
         assert lines[0].split("\t") == ["id", "ant", "bee", "cat"]
         assert len(lines) == 25
 
+    def test_class_on_every_row_is_skipped(self, blob_data, tmp_path):
+        _, labels, fpath, _ = blob_data
+        lpath = tmp_path / "labels_x.tsv"
+        save_labels({fid: {cls, "x"} for fid, cls in labels.items()}, lpath)
+        model_path = tmp_path / "m.tsvm"
+        report_path = tmp_path / "train.tsv"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ova", "--C", "1.0",
+            "--model-out", model_path, "--report", report_path,
+        ) == 0
+        assert ("skipped\tclass 'x' has a degenerate subproblem; skipped"
+                in report_path.read_text().splitlines())
+        model = svm.load_model(model_path)
+        assert model.classes.index("x") not in model.models
+        scores_path = tmp_path / "scores.tsv"
+        assert run(
+            "predict", "--model", model_path, "--features", fpath,
+            "--out", scores_path,
+        ) == 0
+        header = scores_path.read_text().splitlines()[0]
+        assert header.split("\t") == ["id", "ant", "bee", "cat"]
+
     def test_augmented_training_row_count(self, rng, tmp_path):
         ids, rows, labels = [], [], {}
         for ci, cls in enumerate(("a", "b")):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import fixed_decimal_rows_oracle
+from oracles import fixed_decimal_rows_oracle, stacked_chain_oracle
 
 from featkit.errors import (
     ClampedDimensionWarning,
@@ -243,6 +243,20 @@ class TestRetrievalPipeline:
         head = retrieval_pipeline_apply(model, 2.0, batch_in[:3])
         assert np.array_equal(head, batch[:3])
 
+    @pytest.mark.parametrize("d", [12, 64, 768])
+    def test_rows_equal_stacked_per_row_chain(self, d):
+        # block=1 projects each row as a run of one; its bits must be
+        # those of the stacked per-row matrix-vector product
+        rng = np.random.default_rng(d)
+        model = retrieval_pipeline_fit(rng.normal(size=(2 * d, d)),
+                                       min(d - 1, 500), 1e-10)
+        x = rng.normal(size=(9, d))
+        x[2] = 0.0
+        x[3:6] *= 1e-4
+        x[6:] *= 1e4
+        assert np.array_equal(retrieval_pipeline_apply(model, 2.0, x),
+                              stacked_chain_oracle(model, 2.0, x))
+
     def test_rows_dim_mismatch(self, rng):
         model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), 2, 1e-10)
         with pytest.raises(DimMismatch):
@@ -266,7 +280,8 @@ class TestRetrievalPipeline:
 
 
 class TestBlockedChain:
-    """``block=P``: one product per run of P rows, the last zero-padded.
+    """``block=P``: one product per run of P rows, the last padded with
+    mean rows, which centre to zero.
 
     A row's float64 bits depend on its position in its run and on the
     run's shape, never on the other rows of the run.
@@ -440,6 +455,20 @@ class TestNonFiniteRejected:
                 retrieval_pipeline_fit(np.zeros(3), 2, bad)
             else:
                 retrieval_pipeline_apply(_edge_model(), bad, np.zeros((2, 9)))
+
+    @pytest.mark.parametrize("field, value", [
+        ("pca_dim", 2.5), ("pca_dim", 8.5), ("pca_dim", True),
+        ("h_q", 1.5), ("h_r", True),
+    ])
+    def test_levels_and_dims_are_whole_numbers(self, field, value, rng):
+        # OTIDX1's config line holds integers, so a config that is not
+        # whole would save an index that load_index refuses
+        with pytest.raises(ValueError, match=f"{field}.*not an integer"):
+            SpatialSearchConfig(**{field: value})
+        if field == "pca_dim":
+            with pytest.raises(ValueError, match="pca_dim.*not an integer"):
+                retrieval_pipeline_fit(rng.normal(size=(20, 12)), value,
+                                       1e-10)
 
     @pytest.mark.parametrize("pca_dim", [0, -1])
     def test_pca_dim_below_one(self, pca_dim):

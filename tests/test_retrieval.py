@@ -611,9 +611,11 @@ class TestIndexPersistence:
 def test_entry_validation(rng):
     index, _ = _file_backed_index(rng, n_refs=3)
     one_rect = ((Rect(0, 0, 1, 1),), (), ())
-    with pytest.raises(ValueError):
-        RetrievalIndex(index.ids, one_rect, index.vectors, index.model,
-                       index.config)
+    bare_rect = (Rect(0, 0, 1, 1), (), ())
+    for rects in (one_rect, bare_rect):
+        with pytest.raises(ValueError):
+            RetrievalIndex(index.ids, rects, index.vectors, index.model,
+                           index.config)
 
 
 @pytest.mark.parametrize("bad", [
