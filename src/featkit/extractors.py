@@ -151,6 +151,7 @@ class FileBackedExtractor:
 
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
+        self._rows = {fid: i for i, fid in enumerate(matrix.ids)}
 
     def image_size(self, image) -> None:
         """None: vectors are keyed by id, so there is no geometry."""
@@ -160,7 +161,7 @@ class FileBackedExtractor:
         rows = []
         for rep_id, _, _ in _batch(requests):
             try:
-                rows.append(self.matrix.index_of(rep_id))
+                rows.append(self._rows[rep_id])
             except KeyError:
                 raise UnknownId(
                     f"no stored vector for id {rep_id!r}"

@@ -179,15 +179,6 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def index_of(self, feature_id: str) -> int:
-        try:
-            return self._index[feature_id]
-        except AttributeError:
-            object.__setattr__(
-                self, "_index", {fid: i for i, fid in enumerate(self.ids)}
-            )
-            return self._index[feature_id]
-
 
 def load_features(path, fmt: str = "tsv") -> FeatureMatrix:
     """Read a feature matrix from ``path`` in ``tsv`` or ``binary`` format."""

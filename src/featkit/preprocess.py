@@ -6,8 +6,10 @@ The retrieval-side processing of a raw descriptor v is
     -> signed power transform
 
 fitted once on a reference corpus and then applied to any vector of the
-same input dimension.  Covariance uses the population (1/n) convention
-throughout, which is what the whitening identity-covariance checks assume.
+same input dimension, in blocks its caller forms: a vector or a row is
+a block of one, an (N, P, d) stack N blocks of P rows.  Covariance uses
+the population (1/n) convention throughout, which is what the whitening
+identity-covariance checks assume.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ PCAW_MAGIC = "PCAW1"
 
 # Decimals of the grid that fitted components are rounded to (see pca_fit).
 COMPONENT_DECIMALS = 15
+# A Python float, so an int beyond float64's range compares exactly with it.
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -57,13 +61,13 @@ def signed_power(v, p: float) -> np.ndarray:
 
 def check_power_epsilon(*values: float) -> None:
     """Reject a chain power or epsilon that is not positive and finite."""
-    if not all(0 < v < np.inf for v in values):
+    if not all(0 < v <= _FLOAT_MAX for v in values):
         raise ValueError("power and epsilon must be positive and finite")
 
 
 def check_count(what: str, *values) -> None:
-    """Reject a count (patch levels, a dimension, a block size) that is
-    not an ``int`` of at least 1; a ``bool`` is not a count."""
+    """Reject a count (patch levels, a dimension, a result count) that
+    is not an ``int`` of at least 1; a ``bool`` is not a count."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"{what}: {v!r} is not an integer")
@@ -100,8 +104,9 @@ class PcaWhitenModel:
             raise ValueError("model values must be finite")
         if np.any(eigs < 0) or np.any(np.diff(eigs) > 0):
             raise ValueError("eigenvalues must be non-negative, sorted")
-        if not 0 < self.epsilon < np.inf:
+        if not 0 < self.epsilon <= _FLOAT_MAX:
             raise ValueError("epsilon must be positive and finite")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "eigenvalues", eigs)
@@ -136,10 +141,10 @@ def pca_fit(x, k: int, epsilon: float) -> PcaWhitenModel:
     if a.ndim != 2 or a.shape[0] < 2:
         raise ValueError("pca_fit needs a 2-D matrix with n >= 2 rows")
     n, d = a.shape
-    if not 1 <= k <= min(n - 1, d):
-        raise ValueError(
-            f"k={k} outside valid range 1..{min(n - 1, d)} for {n}x{d} data"
-        )
+    check_count("k", k)
+    if k > min(n - 1, d):
+        raise ValueError(f"k={k} outside valid range 1..{min(n - 1, d)} "
+                         f"for {n}x{d} data")
     mean = a.mean(axis=0)
     centered = a - mean
     cov = centered.T @ centered / n
@@ -169,12 +174,13 @@ def pca_fit(x, k: int, epsilon: float) -> PcaWhitenModel:
 def pca_whiten_apply(model: PcaWhitenModel, v) -> np.ndarray:
     """Project onto the fitted basis and scale to unit variance per axis.
 
-    ``v`` is one vector (d,) or rows (n, d), projected by one
-    ``(v - mean) @ components.T`` product, so a row's bits depend on its
-    position, the row count and the BLAS, not on the other rows.
+    ``v`` is one vector (d,), rows (n, d) or blocks (N, P, d), projected
+    by one ``(v - mean) @ components.T`` product, one (P, d) product per
+    block.  So a row's bits depend on its position in its block, the
+    block shape and the BLAS, not on the other rows.
     """
     a = np.asarray(v, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
+    if a.ndim not in (1, 2, 3) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
@@ -208,34 +214,29 @@ def retrieval_pipeline_fit(x, pca_dim: int, epsilon: float
     return pca_fit(_unit_rows(a), k, epsilon)
 
 
-def retrieval_pipeline_apply(model: PcaWhitenModel, power: float, v,
-                             block: int = 1) -> np.ndarray:
-    """Full chain for one vector (d,) or for each row of (n, d).
-
-    Output has ``model.k`` columns; a 1-D input is a batch of one.  Each
-    run of ``block`` rows is scaled to unit length and projected by one
-    :func:`pca_whiten_apply` call, the last run padded with rows of
-    ``model.mean``, which centre to zero.  So a row's bits depend on its
-    position in its run, the block size and the BLAS, never on the other
-    rows; the default ``block=1`` gives each row the one-vector chain.
+def retrieval_pipeline_apply(model: PcaWhitenModel, power: float, v
+                             ) -> np.ndarray:
+    """Full chain for one vector (d,), rows (n, d) or blocks (N, P, d),
+    with ``model.k`` in place of ``d``; a vector or a row is a block of
+    one.  Whole blocks of about 2**20 values at a time are scaled and
+    projected, so no input-sized copy is made.  A row's bits depend on its
+    position in its block, the block shape and the BLAS, not other rows.
     """
     check_power_epsilon(power)
     a = np.asarray(v, dtype=np.float64)
-    if a.ndim not in (1, 2) or a.shape[-1] != model.dim_in:
+    if a.ndim not in (1, 2, 3) or a.shape[-1] != model.dim_in:
         raise DimMismatch(
             f"vector dim {a.shape} does not match model dim {model.dim_in}"
         )
-    check_count("block", block)
-    rows = np.atleast_2d(a)
-    z = np.empty((len(rows), model.k))
-    run = np.empty((block, model.dim_in))
-    for start in range(0, len(rows), block):
-        m = min(block, len(rows) - start)
-        run[:m] = _unit_rows(rows[start : start + m])
-        run[m:] = model.mean
-        z[start : start + m] = pca_whiten_apply(model, run)[:m]
-    out = signed_power(_unit_rows(z), power)
-    return out[0] if a.ndim == 1 else out
+    blocks = a.reshape(-1, 1, a.shape[-1]) if a.ndim < 3 else a
+    n, p, d = blocks.shape
+    z = np.empty((n, p, model.k))
+    step = max(1, (1 << 20) // max(1, p * d))
+    for start in range(0, n, step):
+        u = _unit_rows(blocks[start : start + step].reshape(-1, d))
+        z[start : start + step] = pca_whiten_apply(model, u.reshape(-1, p, d))
+    out = signed_power(_unit_rows(z.reshape(-1, model.k)), power)
+    return out.reshape(*a.shape[:-1], model.k)
 
 
 def _grid_rows_text(comps: np.ndarray) -> str | None:

@@ -196,10 +196,22 @@ def build_index(ids, rects, raw, config: SpatialSearchConfig
         raise ValueError(f"reference {ids[bad // per_ref]!r} has a "
                          "non-finite patch value")
     model = retrieval_pipeline_fit(raw, config.pca_dim, config.epsilon)
-    processed = retrieval_pipeline_apply(model, config.power, raw,
-                                         block=per_ref)
-    return RetrievalIndex(ids, rects, processed.reshape(len(ids), per_ref, -1),
-                          model, config)
+    vectors = _chain_patches(model, config, raw).reshape(len(ids), per_ref, -1)
+    return RetrievalIndex(ids, rects, vectors, model, config)
+
+
+def _chain_patches(model: PcaWhitenModel, config: SpatialSearchConfig,
+                   raw: np.ndarray) -> np.ndarray:
+    """The chain over raw patch rows (n, d) in blocks of patch_count(h_r)
+    rows, the last zero-padded.  A query's patch j sits where its
+    reference twin sat, so a self-match reads exactly 0.0; pad values
+    never reach the real rows' bits."""
+    n, d = raw.shape
+    p = patch_count(config.h_r)
+    if n % p:
+        raw = np.concatenate([raw, np.zeros((p - n % p, d))])
+    out = retrieval_pipeline_apply(model, config.power, raw.reshape(-1, p, d))
+    return out.reshape(-1, model.k)[:n]
 
 
 def query_distance(query_vecs, ref_vectors):
@@ -263,16 +275,12 @@ def query_patch_vectors(index: RetrievalIndex, raw) -> np.ndarray:
     rows."""
     rows = np.atleast_2d(np.asarray(raw, dtype=np.float64))
     need = patch_count(index.config.h_q)
-    if rows.shape[0] != need:
-        raise DimMismatch(f"query has {rows.shape[0]} patch rows, "
+    if rows.ndim != 2 or rows.shape[0] != need:
+        raise DimMismatch(f"query patch rows {rows.shape}, "
                           f"h_q={index.config.h_q} needs {need}")
     if not np.all(np.isfinite(rows)):
         raise ValueError("query patch features must be finite")
-    processed = retrieval_pipeline_apply(
-        index.model, index.config.power, rows,
-        block=patch_count(index.config.h_r),
-    )
-    return processed.astype(np.float32)
+    return _chain_patches(index.model, index.config, rows).astype(np.float32)
 
 
 def search(index: RetrievalIndex, raw, *, top_k: int = 10) -> list:
@@ -287,8 +295,7 @@ def search(index: RetrievalIndex, raw, *, top_k: int = 10) -> list:
     :func:`query_distance` call, so the result equals brute force
     exactly.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be at least 1")
+    check_count("top_k", top_k)
     q = query_patch_vectors(index, raw)
     n_refs = len(index.ids)
     refs, ref_sq = index.patch_matrix

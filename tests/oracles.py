@@ -368,6 +368,20 @@ def stacked_chain_oracle(model, power, rows):
     return np.sign(z) * np.abs(z) ** power
 
 
+def blocked_chain_oracle(model, power, blocks):
+    """The chain over an (N, P, d) stack of blocks in a Python loop: each
+    block's rows scaled to unit length by one dot product per row, then
+    projected by one ``(block - mean) @ components.T`` product per block,
+    as a loop over blocks of P rows does it."""
+    scale = np.sqrt(model.eigenvalues + model.epsilon)
+    out = []
+    for block in np.asarray(blocks, dtype=np.float64):
+        z = (_stacked_unit_rows(block) - model.mean) @ model.components.T
+        out.append(_stacked_unit_rows(z / scale))
+    z = np.stack(out)
+    return np.sign(z) * np.abs(z) ** power
+
+
 # --------------------------------------------------------------------
 # TSV feature parsing
 # --------------------------------------------------------------------

@@ -724,7 +724,7 @@ class TestPreprocessCommands:
         for fid, row in zip(matrix.ids, matrix.values):
             direct = retrieval_pipeline_apply(model, 2.0, row)
             assert np.array_equal(
-                processed.values[processed.index_of(fid)], direct
+                processed.values[processed.ids.index(fid)], direct
             )
 
 

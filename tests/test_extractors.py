@@ -226,7 +226,7 @@ def test_module_level_extract_dispatch(random_matrix):
     matrix = random_matrix()
     binding = FileBackedExtractor(matrix)
     assert np.array_equal(
-        _lookup(binding, "v0"), matrix.values[matrix.index_of("v0")]
+        _lookup(binding, "v0"), matrix.values[matrix.ids.index("v0")]
     )
 
 

@@ -74,7 +74,7 @@ class TestFeatureMatrix:
     def test_basic_shape(self):
         m = FeatureMatrix(("a", "b"), [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         assert m.n == 2 and m.dim == 3
-        assert m.values[m.index_of("b")][0] == 4.0
+        assert m.values[m.ids.index("b")][0] == 4.0
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import fixed_decimal_rows_oracle, stacked_chain_oracle
+from oracles import (
+    blocked_chain_oracle,
+    fixed_decimal_rows_oracle,
+    stacked_chain_oracle,
+)
 
 from featkit.errors import (
     ClampedDimensionWarning,
@@ -125,6 +129,13 @@ class TestPcaFit:
         x = rng.normal(size=(5, 3))
         with pytest.raises(ValueError):
             pca_fit(x, 4, 1e-10)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            pca_fit(x, 0, 1e-10)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True])
+    def test_k_is_a_whole_number(self, rng, k):
+        with pytest.raises(ValueError, match="k: .* is not an integer"):
+            pca_fit(rng.normal(size=(5, 3)), k, 1e-10)
 
     def test_rank_deficient_warns_and_truncates(self):
         base = np.array([[1.0, 2.0, 0.5]])
@@ -245,8 +256,8 @@ class TestRetrievalPipeline:
 
     @pytest.mark.parametrize("d", [12, 64, 768])
     def test_rows_equal_stacked_per_row_chain(self, d):
-        # block=1 projects each row as a run of one; its bits must be
-        # those of the stacked per-row matrix-vector product
+        # each row is a block of one; its bits must be those of the
+        # stacked per-row matrix-vector product
         rng = np.random.default_rng(d)
         model = retrieval_pipeline_fit(rng.normal(size=(2 * d, d)),
                                        min(d - 1, 500), 1e-10)
@@ -262,12 +273,9 @@ class TestRetrievalPipeline:
         with pytest.raises(DimMismatch):
             retrieval_pipeline_apply(model, 2.0, np.zeros((3, 5)))
         with pytest.raises(DimMismatch):
-            retrieval_pipeline_apply(model, 2.0, np.zeros((2, 3, 4)))
-
-    def test_block_argument_validated(self, rng):
-        model = retrieval_pipeline_fit(rng.normal(size=(10, 4)), 2, 1e-10)
-        with pytest.raises(ValueError):
-            retrieval_pipeline_apply(model, 2.0, np.zeros((3, 4)), block=0)
+            retrieval_pipeline_apply(model, 2.0, np.zeros((2, 3, 5)))
+        with pytest.raises(DimMismatch):
+            retrieval_pipeline_apply(model, 2.0, np.zeros((2, 2, 3, 4)))
 
     def test_k1_output_is_signed_unit(self, rng):
         x = rng.normal(size=(10, 3))
@@ -280,11 +288,10 @@ class TestRetrievalPipeline:
 
 
 class TestBlockedChain:
-    """``block=P``: one product per run of P rows, the last padded with
-    mean rows, which centre to zero.
+    """An (N, P, d) stack: one product per block of P rows.
 
-    A row's float64 bits depend on its position in its run and on the
-    run's shape, never on the other rows of the run.
+    A row's float64 bits depend on its position in its block and on the
+    block shape, never on the other rows of the block.
     """
 
     P = 30
@@ -294,37 +301,45 @@ class TestBlockedChain:
         rng = np.random.default_rng(77)
         model = retrieval_pipeline_fit(rng.normal(size=(400, 768)), 200,
                                        1e-10)
-        x = rng.normal(size=(3 * self.P + 11, 768))
-        return model, x, retrieval_pipeline_apply(model, 2.0, x, block=self.P)
+        x = rng.normal(size=(4, self.P, 768))
+        return model, x, retrieval_pipeline_apply(model, 2.0, x)
+
+    @pytest.mark.parametrize("d", [12, 64, 768])
+    @pytest.mark.parametrize("p", [5, 30])
+    def test_stack_equals_blocked_oracle(self, d, p):
+        # the apply works through whole blocks of about 2**20 values at a
+        # time; two blocks more than that cross a chunk boundary
+        rng = np.random.default_rng(d + p)
+        model = retrieval_pipeline_fit(rng.normal(size=(2 * d, d)),
+                                       min(d - 1, 500), 1e-10)
+        x = rng.normal(size=((1 << 20) // (p * d) + 2, p, d))
+        x[0, 2] = 0.0
+        x[1] *= 1e-4
+        x[-1] *= 1e4
+        out = retrieval_pipeline_apply(model, 2.0, x)
+        assert out.shape == (*x.shape[:2], model.k)
+        assert np.array_equal(out, blocked_chain_oracle(model, 2.0, x))
 
     def test_same_position_same_bits(self, chain):
         model, x, out = chain
         rng = np.random.default_rng(78)
-        run = x[self.P : 2 * self.P].copy()
-        run[14:] = rng.normal(size=(self.P - 14, x.shape[1]))
-        again = retrieval_pipeline_apply(model, 2.0, run, block=self.P)
-        assert np.array_equal(again[:14], out[self.P : self.P + 14])
+        block = x[1].copy()
+        block[14:] = rng.normal(size=(self.P - 14, x.shape[2]))
+        again = retrieval_pipeline_apply(model, 2.0, block[None])
+        assert np.array_equal(again[0, :14], out[1, :14])
 
-    def test_short_runs_are_padded_to_block_shape(self, chain):
+    def test_zero_padded_block_gives_real_rows_full_block_bits(self, chain):
         model, x, out = chain
         for m in (1, 14, 29):
-            head = retrieval_pipeline_apply(model, 2.0, x[:m], block=self.P)
-            assert np.array_equal(head, out[:m])
-        tail = retrieval_pipeline_apply(model, 2.0, x[3 * self.P :],
-                                        block=self.P)
-        assert np.array_equal(tail, out[3 * self.P :])
-
-    def test_one_vector_is_a_padded_block(self, chain):
-        model, x, out = chain
-        row = retrieval_pipeline_apply(model, 2.0, x[2 * self.P],
-                                       block=self.P)
-        assert row.shape == (model.k,)
-        assert np.array_equal(row, out[2 * self.P])
+            padded = np.zeros((1, self.P, x.shape[2]))
+            padded[0, :m] = x[2, :m]
+            again = retrieval_pipeline_apply(model, 2.0, padded)
+            assert np.array_equal(again[0, :m], out[2, :m])
 
     def test_close_to_per_row_chain(self, chain):
         model, x, out = chain
-        per_row = retrieval_pipeline_apply(model, 2.0, x)
-        assert np.abs(out - per_row).max() <= 1e-12
+        per_row = retrieval_pipeline_apply(model, 2.0, x.reshape(-1, 768))
+        assert np.abs(out.reshape(per_row.shape) - per_row).max() <= 1e-12
 
 
 class TestPcawPersistence:
@@ -442,7 +457,9 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="finite"):
             PcaWhitenModel(**parts)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [
+        np.nan, np.inf, pytest.param(10**400, id="int-beyond-float64"),
+    ])
     @pytest.mark.parametrize("field", ["power", "epsilon"])
     def test_config(self, field, bad):
         # the config rejects the value, and so does the chain step that

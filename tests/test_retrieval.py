@@ -539,6 +539,17 @@ class TestSearchRejectsBadQueries:
             search(index, rows)
         at_h_q_2 = replace(index, config=replace(index.config, h_q=2))
         assert len(search(at_h_q_2, rows, top_k=3)) == 3
+        with pytest.raises(DimMismatch):
+            search(index, rng.normal(size=(1, 1, 12)))
+
+    @pytest.mark.parametrize("top_k, message", [
+        (1.5, "not an integer"), (2.0, "not an integer"),
+        (True, "not an integer"), (0, "at least 1"), (-1, "at least 1"),
+    ])
+    def test_top_k_is_a_whole_number(self, rng, top_k, message):
+        index, raw = _file_backed_index(rng, n_refs=4, h_q=1)
+        with pytest.raises(ValueError, match=f"top_k.*{message}"):
+            search(index, raw["r2"][:1], top_k=top_k)
 
     def test_wrong_width_query(self, rng):
         index, _ = _file_backed_index(rng, n_refs=4, h_q=1)
@@ -659,7 +670,7 @@ class TestSelfMatchExactlyZero:
         ("file", 12), ("file", 64), ("file", 768),
         ("toy", 9), ("toy", 64), ("toy", 784),
     ])
-    @pytest.mark.parametrize("h_r, h_q", [(3, 2), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("h_r, h_q", [(3, 2), (2, 2), (2, 3), (3, 1)])
     def test_reference_rows_as_query(self, binding_kind, dim, h_r, h_q):
         rng = np.random.default_rng(1000 * h_r + 100 * h_q + dim)
         refs, binding = _self_match_setup(binding_kind, h_r, dim, rng)

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from featkit.features import FeatureMatrix, load_features, save_features
+from featkit.preprocess import PcaWhitenModel, load_pca_model, save_pca_model
 
 # Any code point, with the separators, line breaks that are not
 # separators, a lone surrogate and a byte-order mark drawn often: the id
@@ -42,19 +43,24 @@ def _bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
-def _write_and_read(matrix, fmt):
-    """``matrix`` read back after ``save_features``, or None when the
-    writer refused it with ValueError without opening the file.  Any
-    warning is an error."""
+def _write_and_read(obj, save, load):
+    """``obj`` read back by ``load(path)`` after ``save(obj, path)``, or
+    None when the writer refused it with ValueError without opening the
+    file.  Any warning is an error."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error")
-        path = Path(tmp) / "features"
+        path = Path(tmp) / "out"
         try:
-            save_features(matrix, path, fmt)
+            save(obj, path)
         except ValueError:
             assert not path.exists()
             return None
-        return load_features(path, fmt)
+        return load(path)
+
+
+def _features_io(fmt):
+    return (lambda m, p: save_features(m, p, fmt),
+            lambda p: load_features(p, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "binary"])
@@ -64,7 +70,7 @@ def test_feature_matrix_reads_back_equal_or_is_refused(fmt, parts):
         matrix = FeatureMatrix(*parts)
     except ValueError:
         return
-    back = _write_and_read(matrix, fmt)
+    back = _write_and_read(matrix, *_features_io(fmt))
     if back is None:
         return
     expected = matrix.values
@@ -76,10 +82,59 @@ def test_feature_matrix_reads_back_equal_or_is_refused(fmt, parts):
 
 
 def test_empty_matrix_is_refused_as_value_error():
-    assert _write_and_read(FeatureMatrix((), np.zeros((0, 3))), "tsv") is None
+    assert _write_and_read(FeatureMatrix((), np.zeros((0, 3))),
+                           *_features_io("tsv")) is None
 
 
 @pytest.mark.parametrize("fid", ["\ud800", "a\udfffb"])
 def test_id_that_utf8_cannot_encode_is_refused(fid):
     with pytest.raises(ValueError, match="lone surrogate"):
         FeatureMatrix((fid,), [[1.0]])
+
+
+# Chain values: the 1e-15 grid of fitted components, any finite float,
+# and signed zeros, subnormals and the largest doubles drawn often.
+_edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                          1e-300, 1.7976931348623157e308, -1e308, 1.0, -1.0])
+_grid = st.integers(-10**15, 10**15).map(lambda m: m / 1e15)
+_eig = st.one_of(st.floats(0.0, allow_infinity=False),
+                 st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e308,
+                                  1.7976931348623157e308]))
+
+
+@st.composite
+def _pca_parts(draw):
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, d))
+    comp = draw(st.sampled_from([_grid, st.one_of(_grid, _values, _edges)]))
+    mean = draw(st.lists(st.one_of(_values, _edges), min_size=d, max_size=d))
+    comps = draw(st.lists(st.lists(comp, min_size=d, max_size=d),
+                          min_size=k, max_size=k))
+    eigs = sorted(draw(st.lists(_eig, min_size=k, max_size=k)), reverse=True)
+    eps = draw(st.one_of(st.floats(0.0, exclude_min=True,
+                                   allow_infinity=False), _edges,
+                         st.integers(-1, 2**1100)))
+    return mean, comps, eigs, eps
+
+
+@given(parts=_pca_parts())
+def test_pca_model_reads_back_equal_or_is_refused(parts):
+    try:
+        model = PcaWhitenModel(*parts)
+    except ValueError:
+        return
+    back = _write_and_read(model, save_pca_model, load_pca_model)
+    if back is None:
+        return
+    for field in ("mean", "components", "eigenvalues", "epsilon"):
+        assert np.array_equal(_bits(getattr(back, field)),
+                              _bits(getattr(model, field)))
+
+
+def test_epsilon_beyond_float64_is_refused_as_value_error():
+    # an int epsilon passed "< inf", then the writer's float() overflowed
+    with pytest.raises(ValueError, match="epsilon"):
+        PcaWhitenModel(np.zeros(1), [[1.0]], [1.0], 10**400)
+    model = PcaWhitenModel(np.zeros(1), [[1.0]], [1.0], 3)
+    back = _write_and_read(model, save_pca_model, load_pca_model)
+    assert back.epsilon == model.epsilon == 3.0

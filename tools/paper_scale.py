@@ -22,10 +22,11 @@ disk.
 ``--refs`` builds a spatial-search index, as the paper's instance
 retrieval does: each reference has 30 patches (4 levels) of 4096-d rows
 around its own mean, and the chain reduces them to 500 dimensions.  It
-times the chain fit, the per-reference block apply, ``save_index`` to a
-temporary file, ``load_index``, the float64 copy of the loaded patch
-block that search uses, and a few searches, each query being 14 (3
-levels) of a reference's own patches.  It prints tab-separated lines:
+times the chain fit, the apply over the (refs, 30, 4096) stack of
+per-reference blocks, ``save_index`` to a temporary file,
+``load_index``, the float64 copy of the loaded patch block that search
+uses, and a few searches, each query being 14 (3 levels) of a
+reference's own patches.  It prints tab-separated lines:
 the input shape and size, the RSS before the fit, each stage's seconds,
 the index bytes, how many searches ranked their own reference first at
 distance 0.0, and the process's peak RSS.
@@ -172,10 +173,9 @@ def _index(refs: int) -> None:
         model = _timed("fit", retrieval_pipeline_fit, x, config.pca_dim,
                        config.epsilon)
     processed = _timed("apply", retrieval_pipeline_apply, model,
-                       config.power, x, block=per_ref)
+                       config.power, x.reshape(refs, per_ref, -1))
     index = RetrievalIndex(
-        tuple(f"r{i}" for i in range(refs)), ((),) * refs,
-        processed.reshape(refs, per_ref, -1),
+        tuple(f"r{i}" for i in range(refs)), ((),) * refs, processed,
         model, config,
     )
     with tempfile.TemporaryDirectory() as tmp:
