@@ -114,8 +114,6 @@ def _resolve_c(args) -> float:
 
 
 def _cmd_train(args) -> int:
-    matrix = load_features(args.features, args.format)
-    labels = load_labels(args.labels)
     c = _resolve_c(args)
     cfg = svm.SolverConfig(
         C=c,
@@ -124,6 +122,8 @@ def _cmd_train(args) -> int:
         bias=not args.no_bias,
         seed=args.seed,
     )
+    matrix = load_features(args.features, args.format)
+    labels = load_labels(args.labels)
     report_lines = [f"strategy\t{args.strategy}"]
 
     if args.augment:

@@ -63,6 +63,15 @@ class Rect:
             )
 
 
+def float64_array(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array; a Python int beyond float64's range
+    is a ValueError naming ``what``, not an OverflowError."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} beyond float64's range") from None
+
+
 def iround(x: float) -> int:
     """Round half away from zero (positive arguments only)."""
     return int(math.floor(x + 0.5))
@@ -92,7 +101,7 @@ class PixelGrid:
     intensities: np.ndarray  # (height, width) float64
 
     def __post_init__(self):
-        a = np.asarray(self.intensities, dtype=np.float64)
+        a = float64_array(self.intensities, "an intensity")
         if a.ndim != 2 or a.size == 0:
             raise ValueError("intensities must be a non-empty 2-D array")
         if not np.all(np.isfinite(a)) or a.min() < 0.0 or a.max() > 1.0:
@@ -156,7 +165,7 @@ class FeatureMatrix:
 
     def __post_init__(self):
         ids = tuple(self.ids)
-        a = np.asarray(self.values, dtype=np.float64)
+        a = float64_array(self.values, "a feature value")
         if a.ndim != 2:
             raise ValueError("values must be a 2-D array")
         if len(ids) != a.shape[0]:

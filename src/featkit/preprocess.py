@@ -26,14 +26,14 @@ from .errors import (
     MalformedFile,
     RankDeficientWarning,
 )
-from .features import fmt_float, fmt_row, open_text, parse_rows
+from .features import float64_array, fmt_float, fmt_row, open_text, parse_rows
 
 PCAW_MAGIC = "PCAW1"
 
 # Decimals of the grid that fitted components are rounded to (see pca_fit).
 COMPONENT_DECIMALS = 15
 # A Python float, so an int beyond float64's range compares exactly with it.
-_FLOAT_MAX = float(np.finfo(np.float64).max)
+FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 def _unit_rows(a: np.ndarray) -> np.ndarray:
@@ -61,18 +61,19 @@ def signed_power(v, p: float) -> np.ndarray:
 
 def check_power_epsilon(*values: float) -> None:
     """Reject a chain power or epsilon that is not positive and finite."""
-    if not all(0 < v <= _FLOAT_MAX for v in values):
+    if not all(0 < v <= FLOAT_MAX for v in values):
         raise ValueError("power and epsilon must be positive and finite")
 
 
-def check_count(what: str, *values) -> None:
-    """Reject a count (patch levels, a dimension, a result count) that
-    is not an ``int`` of at least 1; a ``bool`` is not a count."""
+def check_count(what: str, *values, least: int = 1) -> None:
+    """Reject a count (patch levels, a dimension, a result count, an
+    epoch limit or a seed) that is not an ``int`` of at least ``least``;
+    a ``bool`` is not a count."""
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
             raise ValueError(f"{what}: {v!r} is not an integer")
-        if v < 1:
-            raise ValueError(f"{what} must be at least 1")
+        if v < least:
+            raise ValueError(f"{what} must be at least {least}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,8 @@ class PcaWhitenModel:
     epsilon: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        comps = np.asarray(self.components, dtype=np.float64)
-        eigs = np.asarray(self.eigenvalues, dtype=np.float64)
+        mean, comps, eigs = (float64_array(a, "a model value") for a in
+                             (self.mean, self.components, self.eigenvalues))
         if mean.ndim != 1 or comps.ndim != 2 or eigs.ndim != 1:
             raise ValueError("bad model array shapes")
         if comps.shape != (eigs.size, mean.size):
@@ -104,7 +104,7 @@ class PcaWhitenModel:
             raise ValueError("model values must be finite")
         if np.any(eigs < 0) or np.any(np.diff(eigs) > 0):
             raise ValueError("eigenvalues must be non-negative, sorted")
-        if not 0 < self.epsilon <= _FLOAT_MAX:
+        if not 0 < self.epsilon <= FLOAT_MAX:
             raise ValueError("epsilon must be positive and finite")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "mean", mean)

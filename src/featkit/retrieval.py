@@ -61,6 +61,8 @@ class SpatialSearchConfig:
         check_count("h_r and h_q", self.h_r, self.h_q)
         check_count("pca_dim", self.pca_dim)
         check_power_epsilon(self.power, self.epsilon)
+        object.__setattr__(self, "power", float(self.power))
+        object.__setattr__(self, "epsilon", float(self.epsilon))
 
 
 @dataclass(frozen=True)
@@ -214,18 +216,55 @@ def _chain_patches(model: PcaWhitenModel, config: SpatialSearchConfig,
     return out.reshape(-1, model.k)[:n]
 
 
-def query_distance(query_vecs, ref_vectors):
-    """Mean over query patches of the min distance to a reference.
+def _patch_scores(q, flat, flat_sq, p, top_k=None):
+    """Positions and distances of the references in the (C * P, dim)
+    patch matrix ``flat`` (squared row norms ``flat_sq``) from the query
+    patches ``q``: all C, or with ``top_k`` those that can still reach
+    the top ``top_k``.  Each distance equals, bit for bit, the brute-
+    force min over ``sqrt(sum((q_i - r_j)**2))``, then mean."""
+    m, dim = q.shape
+    q_sq = np.einsum("ij,ij->i", q, q)
+    approx = q_sq[:, None] + flat_sq[None, :] - 2.0 * (q @ flat.T)
+    np.sqrt(np.maximum(approx, 0.0, out=approx), out=approx)
+    # (m, C, P): query patch, reference, reference patch
+    approx = approx.reshape(m, -1, p)
+    # One bound for both stages.  Let u be the unit roundoff and M =
+    # max|q_i| + max|r_j|, which bounds every |q_i - r_j| and |q_i| +
+    # |r_j|.  An approximate squared distance (three length-dim dot
+    # products, two additions) is within (dim + 2) u M^2 of the true one
+    # to first order, so its clamped, rounded root is within sqrt((dim +
+    # 2) u) M + u M of the true distance, as |sqrt a - sqrt b| <= sqrt|a
+    # - b|.  The exact form is within (dim + 3) u M.  The mean adds (m +
+    # 1) u M to an approximate score and m u M to an exact one, so the
+    # scores differ by at most sqrt((dim + 2) u) M + (dim + 2m + 5) u M,
+    # which covers a pair's (dim + 4) u M term as m >= 1; delta doubles
+    # it for higher-order rounding.  So a reference in the exact top k,
+    # ties included, scores at most the k-th approximate score plus 2
+    # delta, and a patch's exact nearest pair at most its approximate
+    # minimum plus 2 delta.  NaN compares false and keeps its pair.
+    u = np.finfo(np.float64).eps / 2.0
+    big_m = np.sqrt(q_sq.max()) + np.sqrt(flat_sq.max(initial=0.0))
+    delta = 2.0 * big_m * (np.sqrt((dim + 2) * u) + (dim + 2 * m + 5) * u)
+    refs = np.arange(approx.shape[1])
+    if top_k is not None:
+        scores = approx.min(axis=2).mean(axis=0)
+        k = min(top_k, len(refs)) - 1
+        kth = np.partition(scores, k)[k]
+        refs = np.flatnonzero(scores <= kth + 2.0 * delta)
+        approx = approx[:, refs]
+    approx = approx.transpose(1, 0, 2)
+    keep = ~(approx > approx.min(axis=2, keepdims=True) + 2.0 * delta)
+    ci, qi, pj = np.nonzero(keep)
+    exact = np.sqrt(((q[qi] - flat[refs[ci] * p + pj]) ** 2).sum(axis=1))
+    starts = np.searchsorted(ci * m + qi, np.arange(len(refs) * m))
+    dists = np.minimum.reduceat(exact, starts).reshape(-1, m).mean(axis=1)
+    return refs, dists
 
-    ``ref_vectors`` is one reference's (P, k) patches, giving a float,
-    or a stack of C references (C, P, k), giving a (C,) array.  Each
-    distance equals, bit for bit, the brute-force form that takes every
-    pair distance as ``sqrt(sum((q_i - r_j)**2))`` and reduces with min,
-    then mean.  One matrix product gives every approximate pair distance
-    (``|q|^2 + |r|^2 - 2 q.r``, clamped at zero); only the pairs within
-    twice a rounding bound of their query patch's approximate minimum
-    over that reference get the exact form, with the same reductions.
-    """
+
+def query_distance(query_vecs, ref_vectors):
+    """Mean over query patches of the min distance to a reference: a
+    float for one reference's (P, k) patches, a (C,) array for a (C, P,
+    k) stack, scored as :func:`search` scores, equal to brute force."""
     q = np.asarray(query_vecs, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] < 1:
         raise EmptyInput("need at least one query patch")
@@ -234,38 +273,9 @@ def query_distance(query_vecs, ref_vectors):
         raise DimMismatch(
             f"query patches {q.shape} vs reference patches {r.shape}"
         )
-    c, p, dim = (1, *r.shape) if r.ndim == 2 else r.shape
-    m = q.shape[0]
-    flat = r.reshape(c * p, dim)
-    q_sq = np.einsum("ij,ij->i", q, q)
-    r_sq = np.einsum("ij,ij->i", flat, flat)
-    approx = q_sq[:, None] + r_sq[None, :] - 2.0 * (q @ flat.T)
-    np.sqrt(np.maximum(approx, 0.0, out=approx), out=approx)
-    # (C, m, P): reference, query patch, reference patch
-    approx = approx.reshape(m, c, p).transpose(1, 0, 2)
-    # Pair bound, per reference.  Let u be the unit roundoff and M =
-    # max|q_i| + max|r_j| over the query's and that reference's patches,
-    # so M bounds every |q_i - r_j| and |q_i| + |r_j|.  Each
-    # approximate squared distance sums three length-dim dot products
-    # with two additions, so it is within (dim + 2) u M^2 of the true
-    # one (to first order); its clamped, rounded root is within
-    # sqrt((dim + 2) u) M + u M of the true distance, as |sqrt a -
-    # sqrt b| <= sqrt|a - b|.  The exact form rounds each difference,
-    # square, partial sum and root: within (dim + 3) u M.  delta doubles
-    # the sum of both to cover higher-order rounding.  With every
-    # approximate distance within delta of its exact value, the pair
-    # with the smallest exact value scores at most its patch's
-    # approximate minimum plus 2 delta, so it is kept.  NaN compares
-    # false and keeps its pair, so a NaN propagates as in brute force.
-    u = np.finfo(np.float64).eps / 2.0
-    big_m = np.sqrt(q_sq.max()) + np.sqrt(r_sq.reshape(c, p).max(axis=1))
-    delta = 2.0 * big_m * (np.sqrt((dim + 2) * u) + (dim + 4) * u)
-    keep = ~(approx > approx.min(axis=2, keepdims=True)
-             + 2.0 * delta[:, None, None])
-    ci, qi, pj = np.nonzero(keep)
-    exact = np.sqrt(((q[qi] - flat[ci * p + pj]) ** 2).sum(axis=1))
-    starts = np.searchsorted(ci * m + qi, np.arange(c * m))
-    dists = np.minimum.reduceat(exact, starts).reshape(c, m).mean(axis=1)
+    flat = r.reshape(-1, r.shape[-1])
+    _, dists = _patch_scores(q, flat, np.einsum("ij,ij->i", flat, flat),
+                             r.shape[-2])
     return float(dists[0]) if r.ndim == 2 else dists
 
 
@@ -288,40 +298,14 @@ def search(index: RetrievalIndex, raw, *, top_k: int = 10) -> list:
     raw patch rows (see :func:`query_patch_vectors`).  Returns at most
     ``top_k`` (reference id, distance) pairs; ties order by reference id.
 
-    One GEMM over ``index.patch_matrix`` gives every patch-to-patch
-    squared distance as |q|^2 + |r|^2 - 2 q.r, and from it an
-    approximate score per reference.  Only the references that can
-    still reach the top ``top_k`` are re-ranked, by one stacked
-    :func:`query_distance` call, so the result equals brute force
-    exactly.
+    One product over ``index.patch_matrix`` gives every approximate
+    patch distance; the references that can still reach the top
+    ``top_k`` are scored exactly from it, as brute force scores them.
     """
     check_count("top_k", top_k)
-    q = query_patch_vectors(index, raw)
-    n_refs = len(index.ids)
-    refs, ref_sq = index.patch_matrix
-    q64 = q.astype(np.float64)
-    q_sq = np.einsum("ij,ij->i", q64, q64)
-    sq = q_sq[:, None] + ref_sq[None, :] - 2.0 * (q64 @ refs.T)
-    np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
-    m, dim = q.shape
-    approx = sq.reshape(m, n_refs, -1).min(axis=2).mean(axis=0)
-    # Candidate bound.  Let u be the unit roundoff and M = max|q_i| +
-    # max|r_j|.  Each squared distance above is within (dim + 2) u M^2
-    # of the true one (to first order), so its clamped root is within
-    # sqrt((dim + 2) u) M of the true distance, as |sqrt a - sqrt b| <=
-    # sqrt|a - b|; the roots, min and mean add at most (m + 2) u M.  The
-    # exact re-rank is off by at most (dim + m + 3) u M.  delta doubles
-    # both terms to cover higher-order rounding.  With every approximate
-    # score within delta of its exact one, a reference in the exact top
-    # k, ties included, scores at most the k-th smallest approximate
-    # score plus 2 delta, so the candidates contain the exact result.
-    u = np.finfo(np.float64).eps / 2.0
-    big_m = float(np.sqrt(q_sq.max()) + np.sqrt(ref_sq.max()))
-    delta = 2.0 * big_m * (np.sqrt((dim + 2) * u) + (dim + 2 * m + 5) * u)
-    keep = min(top_k, n_refs)
-    kth = np.partition(approx, keep - 1)[keep - 1]
-    candidates = np.flatnonzero(approx <= kth + 2.0 * delta)
-    dists = query_distance(q, index.vectors[candidates])
+    q = query_patch_vectors(index, raw).astype(np.float64)
+    candidates, dists = _patch_scores(q, *index.patch_matrix,
+                                      index.vectors.shape[1], top_k)
     scored = sorted(zip(dists.tolist(), (index.ids[i] for i in candidates)))
     return [(ref_id, dist) for dist, ref_id in scored[:top_k]]
 

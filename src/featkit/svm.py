@@ -40,11 +40,13 @@ from .features import (
     FeatureMatrix,
     check_ids,
     first_nonfinite_row,
+    float64_array,
     fmt_float,
     fmt_row,
     open_text,
     parse_rows,
 )
+from .preprocess import FLOAT_MAX, check_count
 
 MODEL_MAGIC = "OTSVM1"
 
@@ -78,12 +80,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.C) and self.C > 0
-                and math.isfinite(self.tol) and self.tol > 0
-                and self.max_epochs >= 1):
-            raise ValueError(
-                "C, tol must be positive and finite; max_epochs >= 1"
-            )
+        if not (0 < self.C <= FLOAT_MAX and 0 < self.tol <= FLOAT_MAX):
+            raise ValueError("C, tol must be positive and finite")
+        check_count("max_epochs", self.max_epochs)
+        check_count("seed", self.seed, least=0)
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,16 @@ class BinaryModel:
     stats: SolverStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "w", np.asarray(self.w, dtype=np.float64)
-        )
-        if not (np.all(np.isfinite(self.w))
-                and math.isfinite(self.C_used) and self.C_used > 0
-                and math.isfinite(self.objective_value)):
-            raise ValueError(
-                "weights and objective must be finite, C positive and "
-                "finite"
-            )
+        w = float64_array(self.w, "a weight")
+        if not (w.ndim == 1 and w.size > self.bias and np.isfinite(w).all()
+                and 0 < self.C_used <= FLOAT_MAX
+                and abs(self.objective_value) <= FLOAT_MAX):
+            raise ValueError("weights must be one finite vector over at "
+                             "least one feature, the objective finite and "
+                             "C positive and finite")
+        object.__setattr__(self, "w", w)
+        for name in ("C_used", "objective_value"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def input_dim(self) -> int:
@@ -158,6 +158,10 @@ class MulticlassModel:
         if self.strategy == "ovo" and keys != pairs:
             raise ValueError(f"one-vs-one needs {len(pairs)} models keyed by "
                              f"(i, j), 0 <= i < j < {k}")
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer))
+               for key in keys
+               for i in (key if self.strategy == "ovo" else (key,))):
+            raise ValueError("model keys must be integer class indices")
         models = self.models.values()
         if any(m.bias != self.bias for m in models):
             raise ValueError("a binary model's bias differs from the bundle's")

@@ -320,6 +320,19 @@ class TestTrainPredict:
             assert float(gap) > 0.0
         assert capsys.readouterr().err.count("did not converge") == 3
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seed", "-1", "seed must be at least 0"),
+        ("--max-epochs", "0", "max_epochs must be at least 1"),
+    ])
+    def test_solver_counts_checked_before_loading(self, tmp_path, capsys,
+                                                  option, value, message):
+        assert run(
+            "train", "--features", tmp_path / "absent.tsv",
+            "--labels", tmp_path / "absent-labels.tsv", "--strategy", "ova",
+            "--C", "1.0", option, value, "--model-out", tmp_path / "m.tsvm",
+        ) == 2
+        assert capsys.readouterr().err == f"featkit: {message}\n"
+
     def test_free_set_step_lines_follow_solver_lines(self, blob_data,
                                                      tmp_path):
         _, _, fpath, lpath = blob_data

@@ -414,21 +414,6 @@ class TestSearch:
             )
             assert [rid for _, rid in transformed] == ids
 
-    def test_candidates_scored_by_one_distance_call(self, rng,
-                                                    monkeypatch):
-        index, raw = _file_backed_index(rng, n_refs=8)
-        calls = []
-
-        def counted(q, refs):
-            calls.append(np.shape(refs))
-            return query_distance(q, refs)
-
-        monkeypatch.setattr(retrieval, "query_distance", counted)
-        for top_k in (1, 3, 8):
-            calls.clear()
-            assert len(search(index, raw["r3"], top_k=top_k)) == top_k
-            assert len(calls) == 1 and len(calls[0]) == 3
-
     def test_crop_queries_rank_source_first(self, rng):
         corpus = _toy_corpus(rng, n=8, size=48)
         toy = ToyPixelExtractor(4)
@@ -500,6 +485,23 @@ class TestSearchEqualsBruteForce:
                         assert abs(dg - dw) <= 1e-12
             assert search(index, queries[0], top_k=1) == [(src, 0.0)]
 
+    def test_one_product_without_query_distance(self, rng, monkeypatch):
+        """search scores from its own product: no second distance call."""
+        index, raw = _file_backed_index(rng, n_refs=8)
+
+        def refused(*args):
+            raise AssertionError("search called query_distance")
+
+        q = query_patch_vectors(index, raw["r3"])
+        expected = sorted(
+            ((ref_id, query_distance_broadcast(q, vecs))
+             for ref_id, vecs in zip(index.ids, index.vectors)),
+            key=lambda kv: (kv[1], kv[0]))
+        monkeypatch.setattr(retrieval, "query_distance", refused)
+        for top_k in (1, 3, 8):
+            assert search(index, raw["r3"], top_k=top_k) == expected[:top_k]
+        assert expected[0] == ("r3", 0.0)
+
     def test_duplicate_references_tie_in_id_order(self, rng):
         index, raw = _file_backed_index(rng, n_refs=5)
         ranked = search(index, raw["r0"], top_k=5)
@@ -517,6 +519,32 @@ class TestSearchEqualsBruteForce:
         assert 0.0 < gaps[sum(g == 0.0 for g in gaps)] < 1e-6
         ranked = search(index, raw_q, top_k=len(exact))
         assert ranked == sorted(exact.items(), key=lambda kv: (kv[1], kv[0]))
+
+
+class TestChainBlocks:
+    @pytest.mark.parametrize("h_r, h_q", [(3, 1), (2, 3), (4, 3)])
+    def test_query_zero_padded_to_whole_reference_blocks(self, rng,
+                                                         monkeypatch,
+                                                         h_r, h_q):
+        """build_index and search hand the chain (N, patch_count(h_r), d)
+        stacks; a query's holds its raw rows first and zeros after."""
+        stacks = []
+        real = retrieval.retrieval_pipeline_apply
+
+        def recorded(model, power, v):
+            stacks.append(np.array(v))
+            return real(model, power, v)
+
+        monkeypatch.setattr(retrieval, "retrieval_pipeline_apply", recorded)
+        index, _ = _file_backed_index(rng, n_refs=4, h_r=h_r, h_q=h_q)
+        p, m = patch_count(h_r), patch_count(h_q)
+        assert [s.shape for s in stacks] == [(4, p, 12)]
+        query = rng.normal(size=(m, 12))
+        search(index, query, top_k=2)
+        assert len(stacks) == 2 and stacks[1].shape == (-(-m // p), p, 12)
+        rows = stacks[1].reshape(-1, 12)
+        assert np.array_equal(rows[:m], query)
+        assert not rows[m:].any()
 
 
 class TestSearchRejectsBadQueries:

@@ -189,6 +189,18 @@ class TestShrinking:
         with pytest.raises(ValueError):
             SolverConfig(C=1.0, tol=bad)
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("max_epochs", 2.5, "not an integer"),   # TypeError in the solve
+        ("max_epochs", True, "not an integer"),  # trained for 1 epoch
+        ("max_epochs", 0, "at least 1"),
+        ("seed", 2.5, "not an integer"),         # SeedSequence TypeError
+        ("seed", True, "not an integer"),
+        ("seed", -1, "at least 0"),              # numpy's "non-negative"
+    ])
+    def test_counts_are_whole_numbers(self, field, bad, message):
+        with pytest.raises(ValueError, match=f"{field}.*{message}"):
+            SolverConfig(C=1.0, **{field: bad})
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_features_rejected(self, bad):
         x = np.array([[1.0, 0.0], [bad, 1.0], [-1.0, 0.5], [0.2, -1.0]])

@@ -52,12 +52,15 @@ code, wall seconds and peak RSS in MiB, the ``ru_maxrss`` that ``wait4``
 reports for it.  The probe frees its arrays before the first command
 and starts each one from a small ``python -S`` helper, because a child
 forked from a large process counts that process's pages in its own
-``ru_maxrss``.
+``ru_maxrss``.  It byte-compiles ``src/featkit`` first, so that no
+command's figures include compiling featkit, even in a tree without
+``__pycache__`` or under ``PYTHONDONTWRITEBYTECODE=1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import itertools
 import os
 import resource
@@ -328,6 +331,8 @@ def main(argv=None) -> int:
     for refs in (args.refs, args.cli_refs):
         if refs is not None and refs < 2:
             p.error("references must be at least 2")
+    if args.cli_rows is not None or args.cli_refs is not None:
+        compileall.compile_dir(Path(SRC) / "featkit", quiet=1)
     if args.rows is not None:
         _train(args.rows)
     elif args.refs is not None:
