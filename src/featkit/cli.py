@@ -145,7 +145,7 @@ def _cmd_train(args) -> int:
         if args.strategy == "ova":
             model = svm.train_one_vs_all(matrix, labels, cfg)
         else:
-            model = svm.train_one_vs_one(matrix, single_labels(labels), cfg)
+            model = svm.train_one_vs_one(matrix, labels, cfg)
     for w in caught:
         if issubclass(w.category, SkippedClassWarning):
             skipped.append(str(w.message))
@@ -153,10 +153,8 @@ def _cmd_train(args) -> int:
     report_lines.append(f"classes\t{len(model.classes)}")
     report_lines.append(f"rows\t{matrix.n}")
     report_lines.append(f"C\t{fmt_float(c)}")
-    keyed = [
-        (svm.format_model_key(model.strategy, key), model.models[key])
-        for key in sorted(model.models)
-    ]
+    keyed = [(svm.format_model_key(model.strategy, key), m)
+             for key, m in model.models.items()]
     for key_s, m in keyed:
         report_lines.append(
             f"objective\t{key_s}\t{fmt_float(m.objective_value)}"
@@ -197,7 +195,6 @@ def _cmd_predict(args) -> int:
             f"feature dim {matrix.dim} does not match model dim "
             f"{model.input_dim}"
         )
-    keys = sorted(model.models)
     scores = svm.decision(model, matrix.values)
     pooled = {
         base: augment.pool_responses(scores[rows], args.pooling)
@@ -210,7 +207,7 @@ def _cmd_predict(args) -> int:
         )
         lines.extend(f"{base}\t{label}" for base, label in zip(pooled, labels))
     else:
-        header = ["id"] + [model.classes[ci] for ci in keys]
+        header = ["id"] + [model.classes[ci] for ci in model.models]
         lines.append("\t".join(header))
         for base, vals in pooled.items():
             lines.append(f"{base}\t{fmt_row(vals)}")

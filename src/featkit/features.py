@@ -405,17 +405,13 @@ def load_labels(path) -> dict:
 
 
 def single_labels(labels: dict) -> dict:
-    """Collapse a multi-label mapping to single labels, or fail loudly."""
+    """Collapse id -> label sets to single labels, or fail loudly."""
     out = {}
     for fid, val in labels.items():
-        if isinstance(val, (set, frozenset, list, tuple)):
-            if len(val) != 1:
-                raise ValueError(
-                    f"id {fid!r} carries {len(val)} labels; expected one"
-                )
-            out[fid] = next(iter(val))
-        else:
-            out[fid] = val
+        if len(val) != 1:
+            raise ValueError(f"id {fid!r} carries {len(val)} labels; "
+                             "expected one")
+        out[fid] = next(iter(val))
     return out
 
 

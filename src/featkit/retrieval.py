@@ -92,7 +92,9 @@ class RetrievalIndex:
                 and self.model.k <= self.config.pca_dim):
             raise ValueError("config pca_dim or epsilon disagrees with the "
                              "chain")
-        v = np.ascontiguousarray(self.vectors, dtype=np.float32)
+        # A value beyond float32's range casts to inf, refused below.
+        with np.errstate(over="ignore"):
+            v = np.ascontiguousarray(self.vectors, dtype=np.float32)
         expected = (len(ids), patch_count(self.config.h_r), self.model.k)
         if v.shape != expected:
             raise ValueError(f"patch block {v.shape}, expected {expected}")

@@ -135,7 +135,8 @@ class MulticlassModel:
 
     ``models`` is keyed by class index for ova and by an (i, j) index
     pair with i < j for ovo, where the lower-indexed class is the +1
-    side of the pair's binary problem.
+    side of the pair's binary problem.  It is stored as a new dict in
+    sorted key order, the order of score columns and model lines.
     """
 
     strategy: str
@@ -167,6 +168,8 @@ class MulticlassModel:
             raise ValueError("a binary model's bias differs from the bundle's")
         if len({m.w.size for m in models}) > 1:
             raise ValueError("binary models differ in weight size")
+        object.__setattr__(self, "models",
+                           {key: self.models[key] for key in sorted(keys)})
 
     @property
     def input_dim(self) -> int:
@@ -196,8 +199,7 @@ def objective(w, x, y, C: float) -> float:
         raise DimMismatch(
             f"w has dim {wa.shape}, features have dim {xa.shape[1]}"
         )
-    margins = ya * (xa @ wa)
-    return float(0.5 * wa @ wa + C * np.maximum(0.0, 1.0 - margins).sum())
+    return _primal_dual(xa, ya, wa, (), C)[0]
 
 
 def _augment_bias(xa: np.ndarray) -> np.ndarray:
@@ -403,13 +405,13 @@ def decision(model, x):
     """Raw linear scores w.x (+ bias weight when enabled).
 
     ``model`` is a :class:`BinaryModel`, or a :class:`MulticlassModel`
-    whose binary models are stacked in sorted key order; ``x`` is one
+    whose binary models are stacked in key order; ``x`` is one
     vector (d,) or rows (n, d).  All scores come from one product
     ``x @ W.T + b``.  A binary model gives a float for one vector and
     (n,) for rows; a multiclass model gives (M,) or (n, M).
     """
     if isinstance(model, MulticlassModel):
-        w = np.stack([model.models[key].w for key in sorted(model.models)])
+        w = np.stack([m.w for m in model.models.values()])
     else:
         w = model.w[None, :]
     a = np.asarray(x, dtype=np.float64)
@@ -429,21 +431,25 @@ def decision(model, x):
     return scores[0] if a.ndim == 1 else scores
 
 
-def _label_sets(labels) -> dict:
-    out = {}
-    for fid, val in labels.items():
-        if isinstance(val, (set, frozenset, list, tuple)):
-            out[fid] = frozenset(val)
-        else:
-            out[fid] = frozenset([val])
-    return out
+def _read_labels(features: FeatureMatrix, labels):
+    """Each row's label set, every id's label set and the sorted classes
+    the rows name.
 
-
-def _ordered_rows(features: FeatureMatrix, labels: dict):
-    missing = [fid for fid in features.ids if fid not in labels]
+    ``labels`` maps an id to one label or a collection of labels.  An
+    unlabeled feature id is a ValueError; rows that name fewer than two
+    classes are :class:`SingleClassData`.
+    """
+    many = (set, frozenset, list, tuple)
+    sets = {fid: frozenset(val if isinstance(val, many) else [val])
+            for fid, val in labels.items()}
+    missing = [fid for fid in features.ids if fid not in sets]
     if missing:
         raise ValueError(f"unlabeled feature ids, e.g. {missing[0]!r}")
-    return features.values, [labels[fid] for fid in features.ids]
+    rows = [sets[fid] for fid in features.ids]
+    classes = tuple(sorted(frozenset().union(*rows)))
+    if len(classes) < 2:
+        raise SingleClassData("training rows name fewer than two classes")
+    return rows, sets, classes
 
 
 def train_one_vs_all(features: FeatureMatrix, labels, cfg: SolverConfig
@@ -454,18 +460,12 @@ def train_one_vs_all(features: FeatureMatrix, labels, cfg: SolverConfig
     Degenerate subproblems (a class with no positives or no negatives
     among the rows) are skipped with a :class:`SkippedClassWarning`.
     """
-    sets = _label_sets(labels)
-    x, row_labels = _ordered_rows(features, sets)
-    classes = tuple(sorted({c for s in row_labels for c in s}))
-    if len(classes) < 2:
-        raise SingleClassData("one-vs-all needs at least two classes")
+    rows, _, classes = _read_labels(features, labels)
     models = {}
     for ci, cls in enumerate(classes):
-        y = np.asarray(
-            [1.0 if cls in s else -1.0 for s in row_labels]
-        )
+        y = np.asarray([1.0 if cls in s else -1.0 for s in rows])
         try:
-            models[ci] = train_binary(x, y, cfg)
+            models[ci] = train_binary(features.values, y, cfg)
         except SingleClassData:
             warnings.warn(
                 f"class {cls!r} has a degenerate subproblem; skipped",
@@ -480,26 +480,20 @@ def train_one_vs_all(features: FeatureMatrix, labels, cfg: SolverConfig
 def train_one_vs_one(features: FeatureMatrix, labels, cfg: SolverConfig
                      ) -> MulticlassModel:
     """K(K-1)/2 pairwise models over single-label data."""
-    sets = _label_sets(labels)
+    rows, sets, classes = _read_labels(features, labels)
     for fid, s in sets.items():
         if len(s) != 1:
             raise ValueError(
                 f"one-vs-one needs single-label data; id {fid!r} has "
                 f"{len(s)} labels"
             )
-    x, row_labels = _ordered_rows(features, sets)
-    flat = [next(iter(s)) for s in row_labels]
-    classes = tuple(sorted(set(flat)))
-    if len(classes) < 2:
-        raise SingleClassData("one-vs-one needs at least two classes")
     index = {c: i for i, c in enumerate(classes)}
-    row_idx = np.asarray([index[c] for c in flat])
+    row_idx = np.asarray([index[c] for (c,) in rows])
     models = {}
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            mask = (row_idx == i) | (row_idx == j)
-            y = np.where(row_idx[mask] == i, 1.0, -1.0)
-            models[(i, j)] = train_binary(x[mask], y, cfg)
+    for i, j in itertools.combinations(range(len(classes)), 2):
+        mask = (row_idx == i) | (row_idx == j)
+        y = np.where(row_idx[mask] == i, 1.0, -1.0)
+        models[(i, j)] = train_binary(features.values[mask], y, cfg)
     return MulticlassModel("ovo", classes, models, cfg.bias)
 
 
@@ -507,7 +501,7 @@ def predict_ovo_from_scores(model: MulticlassModel, scores):
     """Vote with precomputed decision values; one label per image.
 
     ``scores`` is an (images, pairs) block whose columns follow the
-    sorted pair keys; one image is a one-row block.  Each pair model
+    pair keys in order; one image is a one-row block.  Each pair model
     votes for its predicted side (a zero score counts for the +1 side,
     i.e. the lower-indexed class).  Ties on votes are broken by the
     larger sum of absolute winning margins, then by class order.  The
@@ -516,17 +510,17 @@ def predict_ovo_from_scores(model: MulticlassModel, scores):
     """
     if model.strategy != "ovo":
         raise ValueError("vote prediction requires a one-vs-one model")
-    keys = sorted(model.models)
+    pairs = len(model.models)
     block = np.asarray(scores, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] != len(keys):
+    if block.ndim != 2 or block.shape[1] != pairs:
         raise DimMismatch(
-            f"expected (images, {len(keys)}) pair scores, got {block.shape}"
+            f"expected (images, {pairs}) pair scores, got {block.shape}"
         )
     shape = (block.shape[0], len(model.classes))
     votes = np.zeros(shape, dtype=np.int64)
     margin = np.zeros(shape)
     rows = np.arange(shape[0])
-    for col, (i, j) in enumerate(keys):
+    for col, (i, j) in enumerate(model.models):
         s = block[:, col]
         winner = np.where(s >= 0.0, i, j)
         votes[rows, winner] += 1
@@ -551,8 +545,7 @@ def save_model(model: MulticlassModel, path) -> None:
         )
         for cls in model.classes:
             fh.write(cls + "\n")
-        for key in sorted(model.models):
-            m = model.models[key]
+        for key, m in model.models.items():
             fields = [
                 format_model_key(model.strategy, key),
                 fmt_float(m.C_used),

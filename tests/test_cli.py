@@ -284,6 +284,20 @@ class TestTrainPredict:
                 *[t for kv in args.items() for t in kv],
             ) == 2
 
+    def test_ovo_multilabel_id_exit_2(self, blob_data, tmp_path, capsys):
+        _, _, fpath, lpath = blob_data
+        lpath.write_text(lpath.read_text() + "bee3\tcat\n")
+        model_path = tmp_path / "m.tsvm"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ovo", "--C", "1", "--model-out", model_path,
+        ) == 2
+        assert capsys.readouterr().err == (
+            "featkit: one-vs-one needs single-label data; id 'bee3' has "
+            "2 labels\n"
+        )
+        assert not model_path.exists()
+
     def test_solver_lines_in_report(self, blob_data, tmp_path):
         _, _, fpath, lpath = blob_data
         report_path = tmp_path / "train.tsv"

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from featkit.features import (
     fmt_float,
     load_features,
 )
+from featkit.preprocess import PcaWhitenModel
 from featkit.retrieval import (
     RetrievalIndex,
     SpatialSearchConfig,
@@ -655,6 +657,16 @@ def test_entry_validation(rng):
         with pytest.raises(ValueError):
             RetrievalIndex(index.ids, rects, index.vectors, index.model,
                            index.config)
+
+
+def test_vectors_beyond_float32_refused_without_warning():
+    model = PcaWhitenModel(np.zeros(2), [[1.0, 0.0]], [1.0], 1e-10)
+    config = SpatialSearchConfig(h_r=1, h_q=1, pca_dim=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite patch vector"):
+            RetrievalIndex(("a", "b"), ((), ()), np.full((2, 1, 1), 1e300),
+                           model, config)
 
 
 @pytest.mark.parametrize("bad", [

@@ -694,6 +694,69 @@ class TestOneVsOne:
             train_one_vs_one(feats, labels, SolverConfig(C=1.0))
 
 
+TRAINERS = pytest.mark.parametrize(
+    "train", [train_one_vs_all, train_one_vs_one], ids=["ova", "ovo"])
+
+
+class TestLabelReader:
+    """Both trainers read the label mapping one way."""
+
+    @TRAINERS
+    def test_unlabeled_feature_id_refused(self, rng, train):
+        feats, labels = _blobs(rng)
+        del labels["b3"]
+        with pytest.raises(ValueError,
+                           match="unlabeled feature ids, e.g. 'b3'"):
+            train(feats, labels, SolverConfig(C=1.0))
+
+    @TRAINERS
+    def test_rows_naming_one_class_refused(self, rng, train):
+        feats = FeatureMatrix(("a", "b"), rng.normal(size=(2, 2)))
+        # "y" labels an id without a row, so the rows name only "x".
+        labels = {"a": "x", "b": {"x"}, "c": "y"}
+        with pytest.raises(SingleClassData,
+                           match="^training rows name fewer than two "
+                                 "classes$"):
+            train(feats, labels, SolverConfig(C=1.0))
+
+    @TRAINERS
+    def test_one_label_reads_as_its_collections(self, rng, train):
+        feats, labels = _blobs(rng, n_per_class=6)
+        cfg = SolverConfig(C=1.0)
+        want = train(feats, labels, cfg)
+        for wrap in (lambda v: {v}, lambda v: [v], lambda v: (v,),
+                     lambda v: frozenset([v])):
+            got = train(feats, {k: wrap(v) for k, v in labels.items()}, cfg)
+            assert got.classes == want.classes
+            assert list(got.models) == list(want.models)
+            for key, m in want.models.items():
+                assert np.array_equal(got.models[key].w, m.w)
+
+
+class TestModelKeyOrder:
+    @TRAINERS
+    def test_reverse_built_model_reads_in_key_order(self, rng, tmp_path,
+                                                    train):
+        feats, labels = _blobs(rng, classes=("a", "b", "c", "d"))
+        model = train(feats, labels, SolverConfig(C=1.0))
+        keys = sorted(model.models)
+        given = {key: model.models[key] for key in reversed(keys)}
+        rev = MulticlassModel(model.strategy, model.classes, given,
+                              model.bias)
+        assert list(rev.models) == keys
+        assert list(given) == keys[::-1]  # the caller's dict is not reordered
+        x = rng.normal(size=(7, feats.dim))
+        scores = decision(rev, x)
+        assert np.array_equal(scores, decision(model, x))
+        for col, key in enumerate(keys):
+            assert np.abs(scores[:, col]
+                          - decision(model.models[key], x)).max() <= 1e-12
+        save_model(model, tmp_path / "sorted.tsvm")
+        save_model(rev, tmp_path / "reverse.tsvm")
+        assert ((tmp_path / "reverse.tsvm").read_bytes()
+                == (tmp_path / "sorted.tsvm").read_bytes())
+
+
 def _stub_ovo(classes):
     k = len(classes)
     models = {
