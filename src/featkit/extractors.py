@@ -11,20 +11,26 @@ callers plan against (None when the binding has none).
 * :class:`FileBackedExtractor` is a pure lookup into a loaded
   :class:`FeatureMatrix`, keyed by ``rep_id``; images and plans are
   ignored.
-* :class:`ExternalProcessExtractor` serves a whole batch with one session
-  of the line protocol: request ``id<TAB>image_path<TAB>x,y,w,h``, reply
+* :class:`ExternalProcessExtractor` serves a batch over the line
+  protocol: request ``id<TAB>image_path<TAB>x,y,w,h``, reply
   ``id<TAB>v1,v2,...`` (comma-separated decimals), one reply per request
-  in any order.  The requests come as a file on stdin, so the process
-  may reply per line or after EOF; it must exit 0 once it has answered.
-  An extractor that sends no complete reply line for
-  :data:`REPLY_TIMEOUT_S` seconds (from the session start or its last
-  one), or does not exit within that time after its last, is killed.
-  Rotation/mirror geometry is appended to the region field as
-  ``;rot=<deg>;mir=<0|1>``.  Its images are ``(path, width, height)``.
+  in any order.  The batch is split by whole images into up to one
+  session (extractor process) per usable core, the CPU affinity mask;
+  the sessions run at once and are read in one ``poll`` loop, with no
+  thread.  Each session's requests come as a file on its stdin, so the
+  process may reply per line or after EOF; it must answer only those
+  requests and exit 0 once it has.  A session that sends no complete
+  reply line for :data:`REPLY_TIMEOUT_S` seconds (from its start or its
+  last one), or does not exit within that time after its last, is
+  killed, and every other session with it.  Rotation/mirror geometry is
+  appended to the region field as ``;rot=<deg>;mir=<0|1>``.  Its images
+  are ``(path, width, height)``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import select
@@ -196,43 +202,102 @@ class ExternalProcessExtractor:
         return run_protocol(self.command, wire).values
 
 
-# Longest wait, in seconds, for the next complete reply line or for the
-# exit after the last one; an extractor silent for longer is killed.
+# Longest wait, in seconds, for a session's next complete reply line or
+# for its exit after its last; a session silent for longer is killed.
 REPLY_TIMEOUT_S = 300.0
 
 
-def _timed_lines(stdout):
-    """Yield the lines read from the pipe ``stdout``, without their
-    newlines, then what follows the last newline at EOF.  Raises
-    TimeoutError when no complete line comes within
-    :data:`REPLY_TIMEOUT_S` seconds of the start or of the last one."""
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity mask, where
+    the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _shards(requests, n: int) -> list:
+    """Request indices in at most ``n`` shards of whole images.
+
+    The requests are grouped by image path in first-appearance order, and
+    the groups are dealt into min(n, images) contiguous shards of about
+    equal request counts.  Each shard lists its requests in request
+    order.
+    """
+    groups = {}
+    for i, (_, path, _) in enumerate(requests):
+        groups.setdefault(path, []).append(i)
+    groups = list(groups.values())
+    n = min(n, len(groups))
+    ends = list(itertools.accumulate(map(len, groups)))
+    cuts = [0]
+    for k in range(1, n):
+        # The cut nearest k/n of the requests that leaves a group for
+        # each shard still to come.
+        target = k * len(requests) / n
+        cuts.append(min(range(cuts[-1] + 1, len(groups) - n + k + 1),
+                        key=lambda c: abs(ends[c - 1] - target)))
+    cuts.append(len(groups))
+    return [sorted(itertools.chain.from_iterable(groups[a:b]))
+            for a, b in zip(cuts, cuts[1:])]
+
+
+def _timed_lines(procs):
+    """Yield ``(k, line)`` for each line read from ``procs[k]``'s stdout
+    pipe, without its newline, and at the pipe's EOF what follows its
+    last newline; then reap ``procs[k]``.  Stops once a process exits
+    with a non-zero status.
+
+    Every pipe has its own deadline: TimeoutError when an open pipe sends
+    no complete line within :data:`REPLY_TIMEOUT_S` seconds of the start
+    or of its last one, and subprocess.TimeoutExpired when a process does
+    not exit within that time of its EOF.
+    """
     poller = select.poll()
-    poller.register(stdout, select.POLLIN)
-    tail = bytearray()
-    deadline = time.monotonic() + REPLY_TIMEOUT_S
-    while poller.poll(max(0.0, deadline - time.monotonic()) * 1000):
-        chunk = os.read(stdout.fileno(), 1 << 16)
-        if not chunk:
-            yield tail
-            return
-        tail += chunk
-        if b"\n" in chunk:
-            *lines, tail = tail.split(b"\n")
-            yield from lines
-            deadline = time.monotonic() + REPLY_TIMEOUT_S
-    raise TimeoutError
+    session = {}
+    for k, proc in enumerate(procs):
+        poller.register(proc.stdout, select.POLLIN)
+        session[proc.stdout.fileno()] = k
+    tails = {fd: bytearray() for fd in session}
+    deadlines = dict.fromkeys(session, time.monotonic() + REPLY_TIMEOUT_S)
+    while deadlines:
+        wait = min(deadlines.values()) - time.monotonic()
+        ready = {fd for fd, _ in poller.poll(max(0.0, wait) * 1000)}
+        now = time.monotonic()
+        if not ready or any(fd not in ready and t <= now
+                            for fd, t in deadlines.items()):
+            raise TimeoutError
+        for fd in ready:
+            k = session[fd]
+            chunk = os.read(fd, 1 << 16)
+            if not chunk:
+                poller.unregister(fd)
+                del deadlines[fd]
+                yield k, tails[fd]
+                if procs[k].wait(REPLY_TIMEOUT_S):
+                    return
+                continue
+            tails[fd] += chunk
+            if b"\n" in chunk:
+                *lines, tails[fd] = tails[fd].split(b"\n")
+                for line in lines:
+                    yield k, line
+                deadlines[fd] = time.monotonic() + REPLY_TIMEOUT_S
 
 
-def _read_replies(lines, slot: dict):
-    """Parse reply lines as they arrive into rows ordered by ``slot``.
+def _read_replies(lines, slots):
+    """Parse ``(k, line)`` replies as they arrive into rows in request
+    order; ``slots[k]`` maps each id sent to session k to its request
+    index.
 
     Raises on the first malformed, unrequested, duplicate, wrong-width
-    or non-finite reply.  Returns the rows (None if no reply came) and
-    the mask of requests answered.
+    or non-finite reply; a reply names an unrequested id when its
+    session was not sent that id.  Returns the rows (None if no reply
+    came) and the mask of requests answered.
     """
     rows = None
-    got = np.zeros(len(slot), dtype=bool)
-    for raw in lines:
+    got = np.zeros(sum(map(len, slots)), dtype=bool)
+    for k, raw in lines:
         line = raw.decode("utf-8", "replace").rstrip("\r\n")
         if not line.strip():
             continue
@@ -240,7 +305,7 @@ def _read_replies(lines, slot: dict):
         if len(parts) != 2 or not parts[0]:
             raise ExtractorFailure(f"malformed reply line {line!r}")
         rid, payload = parts
-        i = slot.get(rid)
+        i = slots[k].get(rid)
         if i is None:
             raise ProtocolViolation(f"reply for unrequested id {rid!r}")
         if got[i]:
@@ -252,7 +317,7 @@ def _read_replies(lines, slot: dict):
                 f"malformed reply vector for id {rid!r}"
             ) from None
         if rows is None:
-            rows = np.empty((len(slot), len(vec)), dtype=np.float64)
+            rows = np.empty((len(got), len(vec)), dtype=np.float64)
         elif len(vec) != rows.shape[1]:
             raise ProtocolViolation(
                 f"reply dimension {len(vec)} for id {rid!r} differs from "
@@ -266,48 +331,62 @@ def _read_replies(lines, slot: dict):
 
 
 def run_protocol(command: str, requests) -> FeatureMatrix:
-    """Run one protocol session; ``requests`` are (id, path, region)
-    tuples, ``region`` a field as :func:`serialize_plan` writes it.
+    """Serve one batch of ``requests``, (id, path, region) tuples with
+    ``region`` a field as :func:`serialize_plan` writes it.
 
-    The request lines (UTF-8) are written to a temporary file that the
-    extractor reads as its stdin, so it may reply per line or after EOF.
-    Replies are parsed in the calling thread as they arrive, so no reply
-    text is buffered; they are matched by id and returned in request
-    order.  The extractor is killed and reaped on any failure,
-    interrupts included, and when it sends no complete reply line, or
+    The batch is split by whole images (:func:`_shards`) into one
+    session per usable core at most.  Each session is one extractor
+    process whose stdin is a temporary file of its request lines
+    (UTF-8), so it may reply per line or after EOF.  The replies of
+    every session are parsed in the calling thread as they arrive, so no
+    reply text is buffered; they are matched by id and returned in
+    request order.  Every session is killed and reaped on any failure,
+    interrupts included, and when one sends no complete reply line, or
     does not exit after its last one, within :data:`REPLY_TIMEOUT_S`
-    seconds.
+    seconds.  A non-zero exit is reported for the first failing session
+    in shard order.
     """
     requests = list(requests)
     ids = [rid for rid, _, _ in requests]
     if not ids:
         raise ValueError("no requests for protocol session")
-    slot = {rid: i for i, rid in enumerate(ids)}
-    if len(slot) != len(ids):
+    if len(set(ids)) != len(ids):
         raise ValueError("duplicate request id in protocol session")
-
-    with tempfile.TemporaryFile() as inp, tempfile.TemporaryFile() as err:
-        inp.write("".join(f"{rid}\t{path}\t{region}\n"
-                          for rid, path, region in requests).encode("utf-8"))
-        inp.seek(0)
+    shards = _shards(requests, _usable_cores())
+    slots = [{ids[i]: i for i in shard} for shard in shards]
+    argv = shlex.split(command)
+    procs, errs = [], []
+    with contextlib.ExitStack() as files:
         try:
-            proc = subprocess.Popen(shlex.split(command), stdin=inp,
-                                    stdout=subprocess.PIPE, stderr=err)
-        except OSError as exc:
-            raise ExtractorFailure(f"cannot start extractor: {exc}") from exc
-        try:
-            rows, got = _read_replies(_timed_lines(proc.stdout), slot)
-            status = proc.wait(REPLY_TIMEOUT_S)
+            for shard in shards:
+                inp = files.enter_context(tempfile.TemporaryFile())
+                errs.append(files.enter_context(tempfile.TemporaryFile()))
+                inp.write("".join(
+                    "{}\t{}\t{}\n".format(*requests[i]) for i in shard
+                ).encode("utf-8"))
+                inp.seek(0)
+                try:
+                    procs.append(subprocess.Popen(
+                        argv, stdin=inp,
+                        stdout=subprocess.PIPE, stderr=errs[-1]))
+                except OSError as exc:
+                    raise ExtractorFailure(
+                        f"cannot start extractor: {exc}") from exc
+            rows, got = _read_replies(_timed_lines(procs), slots)
+            failed = [(p.returncode, err)
+                      for p, err in zip(procs, errs) if p.poll()]
         except (TimeoutError, subprocess.TimeoutExpired):
             raise ExtractorFailure(
                 f"extractor sent no reply line for {REPLY_TIMEOUT_S:g} s "
                 "and was killed"
             ) from None
         finally:
-            proc.kill()  # no-op once the process has been reaped
-            proc.wait()
-            proc.stdout.close()
-        if status != 0:
+            for proc in procs:
+                proc.kill()  # no-op once the process has been reaped
+                proc.wait()
+                proc.stdout.close()
+        if failed:
+            status, err = failed[0]
             err.seek(0)
             tail = err.read().decode("utf-8", "replace").strip()
             detail = tail.splitlines()[-1] if tail else ""

@@ -160,18 +160,23 @@ def extract_patches(binding, images, levels: int):
     """The rects of each (id, image) pair's patches (none when the binding
     has no image geometry), and all their raw patches as one
     (images * patch_count(levels), dim) block, image after image, from
-    one ``binding.extract_batch`` call of ``image_id#k`` requests."""
+    one ``binding.extract_batch`` call of ``image_id#k`` requests.  The
+    rects and plans of each image size are built once."""
     check_count("patch levels", levels)
+    by_size = {}
     rects, requests = [], []
     for image_id, image in images:
         size = binding.image_size(image)
-        if size is None:
-            rects.append(())
-            plans = [TransformPlan()] * patch_count(levels)
-        else:
-            rects.append(tuple(level_rects(*size, levels)))
-            plans = [TransformPlan(crop=smallest_enclosing_square(r, *size))
-                     for r in rects[-1]]
+        if size not in by_size:
+            if size is None:
+                by_size[size] = (), [TransformPlan()] * patch_count(levels)
+            else:
+                size_rects = tuple(level_rects(*size, levels))
+                by_size[size] = size_rects, [
+                    TransformPlan(crop=smallest_enclosing_square(r, *size))
+                    for r in size_rects]
+        size_rects, plans = by_size[size]
+        rects.append(size_rects)
         requests += [(plan_representation_id(image_id, k), image, plan)
                      for k, plan in enumerate(plans)]
     return rects, binding.extract_batch(requests)

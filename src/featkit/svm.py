@@ -432,8 +432,7 @@ def decision(model, x):
 
 
 def _read_labels(features: FeatureMatrix, labels):
-    """Each row's label set, every id's label set and the sorted classes
-    the rows name.
+    """Each row's label set and the sorted classes the rows name.
 
     ``labels`` maps an id to one label or a collection of labels.  An
     unlabeled feature id is a ValueError; rows that name fewer than two
@@ -449,7 +448,7 @@ def _read_labels(features: FeatureMatrix, labels):
     classes = tuple(sorted(frozenset().union(*rows)))
     if len(classes) < 2:
         raise SingleClassData("training rows name fewer than two classes")
-    return rows, sets, classes
+    return rows, classes
 
 
 def train_one_vs_all(features: FeatureMatrix, labels, cfg: SolverConfig
@@ -460,7 +459,7 @@ def train_one_vs_all(features: FeatureMatrix, labels, cfg: SolverConfig
     Degenerate subproblems (a class with no positives or no negatives
     among the rows) are skipped with a :class:`SkippedClassWarning`.
     """
-    rows, _, classes = _read_labels(features, labels)
+    rows, classes = _read_labels(features, labels)
     models = {}
     for ci, cls in enumerate(classes):
         y = np.asarray([1.0 if cls in s else -1.0 for s in rows])
@@ -480,8 +479,8 @@ def train_one_vs_all(features: FeatureMatrix, labels, cfg: SolverConfig
 def train_one_vs_one(features: FeatureMatrix, labels, cfg: SolverConfig
                      ) -> MulticlassModel:
     """K(K-1)/2 pairwise models over single-label data."""
-    rows, sets, classes = _read_labels(features, labels)
-    for fid, s in sets.items():
+    rows, classes = _read_labels(features, labels)
+    for fid, s in zip(features.ids, rows):
         if len(s) != 1:
             raise ValueError(
                 f"one-vs-one needs single-label data; id {fid!r} has "

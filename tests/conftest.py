@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +38,17 @@ def popen_starts(monkeypatch):
 
     monkeypatch.setattr(featkit.extractors.subprocess, "Popen", counting)
     return started
+
+
+@pytest.fixture
+def usable_cores(monkeypatch):
+    """Set how many cores the process may run on, as its CPU affinity
+    mask reports them, to ``n``."""
+    def set_cores(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)), raising=False)
+
+    return set_cores
 
 
 @pytest.fixture

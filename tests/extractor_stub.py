@@ -14,29 +14,73 @@ answers ``id<TAB>v1,v2,...`` lines.  The first argument picks a mode:
     reply-then-hang N
                 read every request, answer the first N like derive, then
                 sleep 60 s with stdout open
+
+The modes below serve a batch split over several sessions:
+
+    rendezvous DIR
+                create a marker file in DIR, wait until DIR holds a
+                second one (another session's) for at most 10 s, then
+                answer like derive; exit 4 if none comes
+    crash-if PATH
+                a session sent image PATH exits 3; any other sleeps 60 s
+                without replying
+    hang-if PATH
+                a session sent image PATH sleeps 60 s without replying;
+                any other answers like derive, one line each 0.2 s
+    also-reply ID
+                answer like derive, plus a reply for ID when the session
+                was not sent ID
 """
 
+import os
 import sys
 import time
 import zlib
 
 
+def derive(path, region):
+    h = zlib.crc32(f"{path}|{region}".encode("utf-8"))
+    return [((h >> (8 * i)) & 0xFF) / 255.0 for i in range(4)]
+
+
+def reply(rid, vec):
+    return rid + "\t" + ",".join(repr(v) for v in vec) + "\n"
+
+
+def rendezvous(folder) -> bool:
+    open(os.path.join(folder, str(os.getpid())), "w").close()
+    for _ in range(200):
+        if len(os.listdir(folder)) >= 2:
+            return True
+        time.sleep(0.05)
+    return False
+
+
 def main() -> int:
     mode = sys.argv[1] if len(sys.argv) > 1 else "fixed"
+    arg = sys.argv[2] if len(sys.argv) > 2 else None
     if mode == "crash":
         return 3
     if mode == "malformed-then-hang":
         print("not a reply line", flush=True)
         time.sleep(60)
         return 0
-    replies = int(sys.argv[2]) if mode == "reply-then-hang" else None
+    requests = [line.rstrip("\n").split("\t") for line in sys.stdin
+                if line.rstrip("\n")]
+    paths = {path for _, path, _ in requests}
+    if mode == "crash-if" and arg in paths:
+        sys.stderr.write(f"crashed on {arg}\n")
+        return 3
+    if mode == "crash-if" or (mode == "hang-if" and arg in paths):
+        time.sleep(60)
+        return 0
+    if mode == "rendezvous" and not rendezvous(arg):
+        sys.stderr.write("no other session came\n")
+        return 4
+    replies = int(arg) if mode == "reply-then-hang" else None
     first = True
     out = []
-    for line in sys.stdin:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        rid, path, region = line.split("\t")
+    for rid, path, region in requests:
         if mode == "omit-first" and first:
             first = False
             continue
@@ -46,11 +90,18 @@ def main() -> int:
             vec = [1.0] * (4 if first else 5)
             first = False
         else:
-            h = zlib.crc32(f"{path}|{region}".encode("utf-8"))
-            vec = [((h >> (8 * i)) & 0xFF) / 255.0 for i in range(4)]
-        out.append(rid + "\t" + ",".join(repr(v) for v in vec) + "\n")
+            vec = derive(path, region)
+        out.append(reply(rid, vec))
+    if mode == "also-reply" and arg not in {rid for rid, _, _ in requests}:
+        out.append(reply(arg, [0.0] * 4))
     if mode == "reverse":
         out.reverse()
+    if mode == "hang-if":
+        for line in out:
+            sys.stdout.write(line)
+            sys.stdout.flush()
+            time.sleep(0.2)
+        return 0
     sys.stdout.write("".join(out[:replies]))
     sys.stdout.flush()
     if replies is not None:

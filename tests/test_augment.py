@@ -229,14 +229,21 @@ class TestAugmentTrainingSet:
                 {"s0": "a"},
             )
 
-    def test_external_one_session(self, popen_starts):
+    def test_external_session_per_usable_core(self, popen_starts,
+                                              usable_cores):
         binding = ExternalProcessExtractor(stub_command("derive"))
         samples = [(f"s{i}", (f"img{i}.x", 40, 32)) for i in range(3)]
         labels = {"s0": "a", "s1": "b", "s2": "a"}
         plans = augmentation_plans(40, 32)
-        matrix, _ = augment_training_set(binding, samples, plans, labels)
-        assert len(popen_starts) == 1
-        assert matrix.n == 48 and matrix.ids[17] == "s1#1"
+        matrices = []
+        for cores in (1, 2):
+            usable_cores(cores)
+            del popen_starts[:]
+            matrix, _ = augment_training_set(binding, samples, plans, labels)
+            assert len(popen_starts) == min(cores, len(samples))
+            assert matrix.n == 48 and matrix.ids[17] == "s1#1"
+            matrices.append(matrix)
+        assert np.array_equal(matrices[0].values, matrices[1].values)
 
     def test_external_round_trip(self, tmp_path):
         binding = ExternalProcessExtractor(stub_command("derive"))

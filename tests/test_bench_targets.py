@@ -53,13 +53,24 @@ def test_every_traced_target_resolves():
     assert unresolved == KNOWN_DEAD & set(targets)
 
 
-def test_session_counters_read_a_real_session():
+def test_session_counters_read_a_real_session(popen_starts, usable_cores):
+    """One traced ``run_protocol`` call is one batch: ``extractors.requests``
+    counts its requests however many sessions serve it."""
     hooks = _tracing().COUNTERS["extractors.run_protocol"]
     assert hooks
     args = (stub_command("fixed"), [("a", "img", "0,0,1,1")])
     result = run_protocol(*args)
     for key, count in hooks:
         assert count(args, result) == 1, key
+    usable_cores(2)
+    del popen_starts[:]
+    args = (stub_command("fixed"), [("a", "img0", "0,0,1,1"),
+                                    ("b", "img1", "0,0,1,1"),
+                                    ("c", "img1", "0,0,2,2")])
+    result = run_protocol(*args)
+    assert len(popen_starts) == 2
+    for key, count in hooks:
+        assert count(args, result) == 3, key
 
 
 def _solver_spans(monkeypatch, train, features, labels):

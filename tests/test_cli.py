@@ -650,10 +650,11 @@ class TestIndexQuery:
 
 
 class TestExtractorSessions:
-    """One external extractor session per index or query command."""
+    """An index or query command serves its patches as one batch, in one
+    external extractor session per usable core at most."""
 
     @pytest.fixture
-    def external_corpus(self, tmp_path, popen_starts):
+    def external_corpus(self, tmp_path):
         refs = tmp_path / "refs.tsv"
         refs.write_text(
             "r0\timg0.x\t40\t40\nr1\timg1.x\t40\t40\n"
@@ -670,22 +671,40 @@ class TestExtractorSessions:
             "--command", stub_command("derive"),
             "--h-r", "2", "--h-q", "2", "--out", index_path,
         ) == 0
-        return index_path, queries
+        return refs, index_path, queries
 
-    def test_index_starts_one_session(self, external_corpus, popen_starts):
-        assert len(popen_starts) == 1
+    def test_index_starts_a_session_per_usable_core(
+            self, external_corpus, popen_starts, usable_cores, tmp_path):
+        refs, index_path, _ = external_corpus
+        for cores in (1, 2):
+            usable_cores(cores)
+            del popen_starts[:]
+            out = tmp_path / f"c{cores}.idx"
+            assert run(
+                "index", "--images", refs, "--extractor", "external",
+                "--command", stub_command("derive"),
+                "--h-r", "2", "--h-q", "2", "--out", out,
+            ) == 0
+            assert len(popen_starts) == min(cores, 4)
+            assert out.read_bytes() == index_path.read_bytes()
 
-    def test_query_starts_one_session(self, external_corpus, popen_starts,
-                                      tmp_path):
-        index_path, queries = external_corpus
-        del popen_starts[:]
-        out = tmp_path / "rank.tsv"
-        assert run(
-            "query", "--index", index_path, "--queries", queries,
-            "--extractor", "external", "--command", stub_command("derive"),
-            "--top-k", "3", "--out", out,
-        ) == 0
-        assert len(popen_starts) == 1
+    def test_query_starts_a_session_per_usable_core(
+            self, external_corpus, popen_starts, usable_cores, tmp_path):
+        _, index_path, queries = external_corpus
+        ranks = []
+        for cores in (1, 2):
+            usable_cores(cores)
+            del popen_starts[:]
+            out = tmp_path / f"rank{cores}.tsv"
+            assert run(
+                "query", "--index", index_path, "--queries", queries,
+                "--extractor", "external",
+                "--command", stub_command("derive"),
+                "--top-k", "3", "--out", out,
+            ) == 0
+            assert len(popen_starts) == min(cores, 3)
+            ranks.append(out.read_bytes())
+        assert ranks[0] == ranks[1]
 
     def test_query_ranking_equals_per_query_sessions(self, external_corpus,
                                                      tmp_path):
@@ -697,7 +716,7 @@ class TestExtractorSessions:
         from featkit.features import smallest_enclosing_square
         from featkit.retrieval import level_rects, load_index, search
 
-        index_path, queries = external_corpus
+        _, index_path, queries = external_corpus
         out = tmp_path / "rank.tsv"
         assert run(
             "query", "--index", index_path, "--queries", queries,

@@ -1,4 +1,5 @@
 import shlex
+import signal
 import sys
 import time
 import types
@@ -339,6 +340,87 @@ class TestReplyDeadline:
         m = run_protocol(split, self.two)
         assert m.ids == ("a", "b")
         assert np.array_equal(m.values, [[1.5], [2.0]])
+
+
+class TestSessionsPerCore:
+    """A batch is split by whole images into min(cores, images) sessions,
+    each checked on its own."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, usable_cores):
+        usable_cores(2)
+
+    @staticmethod
+    def _requests(counts):
+        return [(f"{path}#{k}", path, f"0,0,{k + 1},1")
+                for path, n in counts.items() for k in range(n)]
+
+    @pytest.mark.parametrize("counts, cores, sizes", [
+        ({"a": 30, "b": 30, "c": 30, "d": 30}, 2, [60, 60]),
+        ({"a": 30, "b": 30, "c": 30}, 2, [30, 60]),
+        ({"a": 100, "b": 1, "c": 1}, 3, [100, 1, 1]),
+        ({"a": 1, "b": 1, "c": 100}, 2, [2, 100]),
+        ({"a": 5, "b": 5}, 8, [5, 5]),
+        ({"a": 5, "b": 5}, 1, [10]),
+    ])
+    def test_shards_are_whole_images(self, counts, cores, sizes):
+        reqs = self._requests(counts)
+        shards = featkit.extractors._shards(reqs, cores)
+        assert [len(s) for s in shards] == sizes
+        assert sorted(i for s in shards for i in s) == list(range(len(reqs)))
+        paths = [[reqs[i][1] for i in s] for s in shards]
+        assert [p for ps in paths for p in ps] == [p for _, p, _ in reqs]
+        assert all(s == sorted(s) for s in shards)
+
+    def test_shards_keep_first_appearance_order(self):
+        reqs = [("x0", "x", "r"), ("y0", "y", "r"), ("x1", "x", "r"),
+                ("z0", "z", "r")]
+        assert featkit.extractors._shards(reqs, 2) == [[0, 2], [1, 3]]
+
+    def test_sessions_overlap(self, tmp_path, popen_starts):
+        # Each session waits for the other's marker file, so the batch
+        # completes only if both run at once.
+        reqs = self._requests({"img0": 3, "img1": 3})
+        command = stub_command(f"rendezvous {shlex.quote(str(tmp_path))}")
+        m = run_protocol(command, reqs)
+        assert len(popen_starts) == 2
+        assert len(list(tmp_path.iterdir())) == 2
+        assert m.ids == tuple(r for r, _, _ in reqs)
+        assert np.array_equal(m.values,
+                              run_protocol(stub_command("derive"), reqs).values)
+
+    def test_crash_kills_and_reaps_the_other(self, popen_starts):
+        reqs = self._requests({"img0": 2, "img1": 2})
+        with pytest.raises(ExtractorFailure,
+                           match="status 3: crashed on img1"):
+            run_protocol(stub_command("crash-if img1"), reqs)
+        assert len(popen_starts) == 2
+        # the sleeping session was killed, not reported as failing
+        assert popen_starts[0].returncode == -signal.SIGKILL
+        assert popen_starts[1].returncode == 3
+
+    def test_reply_for_other_sessions_id_is_refused(self, popen_starts):
+        reqs = self._requests({"img0": 1, "img1": 1})
+        with pytest.raises(ProtocolViolation,
+                           match="unrequested id 'img1#0'"):
+            run_protocol(stub_command("also-reply img1#0"), reqs)
+        assert all(p.poll() is not None for p in popen_starts)
+
+    def test_hung_session_killed_while_other_replies(self, monkeypatch,
+                                                     popen_starts):
+        monkeypatch.setattr(featkit.extractors, "REPLY_TIMEOUT_S", 0.5)
+        # img1's session replies each 0.2 s for 4 s; img0's never does.
+        reqs = self._requests({"img0": 1, "img1": 20})
+        with pytest.raises(ExtractorFailure, match="no reply line for 0.5 s"):
+            run_protocol(stub_command("hang-if img0"), reqs)
+        assert len(popen_starts) == 2
+        assert [p.returncode for p in popen_starts] == [-signal.SIGKILL] * 2
+
+    def test_missing_reply_named_in_request_order(self):
+        reqs = self._requests({"img0": 2, "img1": 2})
+        with pytest.raises(ProtocolViolation, match="missing reply for id "
+                           "'img0#0'"):
+            run_protocol(stub_command("omit-first"), reqs)
 
 
 def _toy_requests(grid):

@@ -720,6 +720,19 @@ class TestLabelReader:
             train(feats, labels, SolverConfig(C=1.0))
 
     @TRAINERS
+    def test_multi_label_id_without_a_row_ignored(self, rng, train):
+        feats = FeatureMatrix(("a", "b"), rng.normal(size=(2, 2)))
+        # "c" has no row, so only the rows' single labels count.
+        labels = {"a": "x", "b": "y", "c": {"x", "y"}}
+        cfg = SolverConfig(C=1.0)
+        model = train(feats, labels, cfg)
+        want = train(feats, {"a": "x", "b": "y"}, cfg)
+        assert model.classes == want.classes == ("x", "y")
+        assert list(model.models) == list(want.models)
+        for key, m in want.models.items():
+            assert np.array_equal(model.models[key].w, m.w)
+
+    @TRAINERS
     def test_one_label_reads_as_its_collections(self, rng, train):
         feats, labels = _blobs(rng, n_per_class=6)
         cfg = SolverConfig(C=1.0)
