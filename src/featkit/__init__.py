@@ -10,6 +10,7 @@ from .augment import (
     negative_expansion_plans,
     pool_responses,
     positive_mirror_plans,
+    representation_groups,
 )
 from .extractors import (
     ExternalProcessExtractor,

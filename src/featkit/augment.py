@@ -92,27 +92,24 @@ def negative_expansion_plans(width: int, height: int) -> list:
     )
 
 
-def pool_responses(scores, mode: str = "sum"):
-    """Fuse per-representation decision values into one score.
+def pool_responses(values, groups, mode: str = "sum") -> np.ndarray:
+    """Pool the rows of ``values`` (n, ...) into one per group, (G, ...).
 
-    ``scores`` holds one value per representation, or an (r, M) block
-    of r representations by M models, pooled per column into (M,).
-    Each column is pooled as a contiguous run, so a block column gets
-    the bits of the same values pooled on their own.
+    ``groups`` numbers each row's group 0..G-1, as from
+    :func:`representation_groups`.  Each group is pooled from its own
+    rows, taken in row order, with the bits of pooling them alone; only
+    one group's rows are copied at a time.
     """
-    if not isinstance(scores, np.ndarray):
-        scores = list(scores)
-    vals = np.asarray(scores, dtype=np.float64)
-    if vals.size == 0:
-        raise EmptyInput("no responses to pool")
-    cols = np.ascontiguousarray(vals.T)
-    if mode == "sum":
-        pooled = cols.sum(axis=-1)
-    elif mode == "max":
-        pooled = cols.max(axis=-1)
-    else:
+    if mode not in ("sum", "max"):
         raise ValueError(f"unknown pooling mode {mode!r}")
-    return float(pooled) if vals.ndim == 1 else pooled
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[0] == 0:
+        raise EmptyInput("no responses to pool")
+    if len(groups) != values.shape[0]:
+        raise ValueError(f"{len(groups)} groups for {values.shape[0]} rows")
+    order = np.argsort(groups, kind="stable")
+    runs = np.split(order, np.cumsum(np.bincount(groups))[:-1])
+    return np.stack([getattr(values[rows], mode)(axis=0) for rows in runs])
 
 
 def plan_representation_id(sample_id: str, plan_index: int) -> str:
@@ -120,16 +117,27 @@ def plan_representation_id(sample_id: str, plan_index: int) -> str:
     return f"{sample_id}#{plan_index}"
 
 
-def representation_groups(ids) -> dict:
-    """Row indices of ``ids`` under their sample id, the inverse of
-    :func:`plan_representation_id`; an id that does not end in ``#`` and
-    ASCII digits is its own group."""
-    groups: dict = {}
-    for i, rep_id in enumerate(ids):
+def representation_groups(ids) -> tuple:
+    """The sample ids of ``ids`` in first-appearance order and each row's
+    group index, the inverse of :func:`plan_representation_id`; an id
+    that does not end in ``#`` and ASCII digits is its own group.
+    ValueError names two ids read as one: a plain id equal to another's
+    sample id, or two spellings of one view (``a#7`` and ``a#07``)."""
+    views, groups = {}, []
+    for rep_id in ids:
         base, sep, k = rep_id.rpartition("#")
-        key = base if sep and k.isascii() and k.isdigit() else rep_id
-        groups.setdefault(key, []).append(i)
-    return groups
+        if not (sep and k.isascii() and k.isdigit()):
+            base, k = rep_id, None
+        view = k and (k.lstrip("0") or "0")
+        g, named = views.setdefault(base, (len(views), {}))
+        clash = (next(iter(named.values()), None) if view is None
+                 else named.get(None, named.get(view)))
+        if clash is not None:
+            raise ValueError(
+                f"ambiguous representation ids {clash!r} and {rep_id!r}")
+        named[view] = rep_id
+        groups.append(g)
+    return tuple(views), np.asarray(groups, dtype=np.intp)
 
 
 def augment_training_set(binding, samples, plans, labels):

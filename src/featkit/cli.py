@@ -195,22 +195,20 @@ def _cmd_predict(args) -> int:
             f"feature dim {matrix.dim} does not match model dim "
             f"{model.input_dim}"
         )
-    scores = svm.decision(model, matrix.values)
-    pooled = {
-        base: augment.pool_responses(scores[rows], args.pooling)
-        for base, rows in augment.representation_groups(matrix.ids).items()
-    }
-    lines = []
-    if model.strategy == "ovo":
-        labels = svm.predict_ovo_from_scores(
-            model, np.stack(list(pooled.values()))
-        )
-        lines.extend(f"{base}\t{label}" for base, label in zip(pooled, labels))
+    bases, groups = augment.representation_groups(matrix.ids)
+    if args.pooling == "sum":
+        pooled = svm.decision(
+            model, augment.pool_responses(matrix.values, groups, "sum"),
+            np.bincount(groups))
     else:
-        header = ["id"] + [model.classes[ci] for ci in model.models]
-        lines.append("\t".join(header))
-        for base, vals in pooled.items():
-            lines.append(f"{base}\t{fmt_row(vals)}")
+        pooled = augment.pool_responses(
+            svm.decision(model, matrix.values), groups, args.pooling)
+    if model.strategy == "ovo":
+        head, cells = [], svm.predict_ovo_from_scores(model, pooled)
+    else:
+        head = ["\t".join(["id"] + [model.classes[ci] for ci in model.models])]
+        cells = map(fmt_row, pooled)
+    lines = head + [f"{base}\t{cell}" for base, cell in zip(bases, cells)]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -206,6 +206,10 @@ class ExternalProcessExtractor:
 # for its exit after its last; a session silent for longer is killed.
 REPLY_TIMEOUT_S = 300.0
 
+# How often, in seconds, a session whose stdout has reached EOF is
+# checked for its exit while the other sessions are read.
+_EXIT_POLL_S = 0.005
+
 
 def _usable_cores() -> int:
     """The cores this process may run on: its CPU affinity mask, where
@@ -245,13 +249,14 @@ def _shards(requests, n: int) -> list:
 def _timed_lines(procs):
     """Yield ``(k, line)`` for each line read from ``procs[k]``'s stdout
     pipe, without its newline, and at the pipe's EOF what follows its
-    last newline; then reap ``procs[k]``.  Stops once a process exits
-    with a non-zero status.
+    last newline; then reap ``procs[k]`` once it exits, reading the
+    other pipes meanwhile.  Stops once a process exits with a non-zero
+    status.
 
-    Every pipe has its own deadline: TimeoutError when an open pipe sends
-    no complete line within :data:`REPLY_TIMEOUT_S` seconds of the start
-    or of its last one, and subprocess.TimeoutExpired when a process does
-    not exit within that time of its EOF.
+    Every session has its own deadline: TimeoutError when an open pipe
+    sends no complete line within :data:`REPLY_TIMEOUT_S` seconds of the
+    start or of its last one, or when a process does not exit within
+    that time of its EOF.
     """
     poller = select.poll()
     session = {}
@@ -260,12 +265,24 @@ def _timed_lines(procs):
         session[proc.stdout.fileno()] = k
     tails = {fd: bytearray() for fd in session}
     deadlines = dict.fromkeys(session, time.monotonic() + REPLY_TIMEOUT_S)
-    while deadlines:
-        wait = min(deadlines.values()) - time.monotonic()
+    exits = {}  # exit deadline of each session past its EOF
+    while True:
+        now = time.monotonic()
+        for k, t in list(exits.items()):
+            if procs[k].poll() is not None:
+                del exits[k]
+                if procs[k].returncode:
+                    return
+            elif t <= now:
+                raise TimeoutError
+        if not (deadlines or exits):
+            return
+        wait = min([*deadlines.values(), *exits.values()]) - now
+        if exits:
+            wait = min(wait, _EXIT_POLL_S)
         ready = {fd for fd, _ in poller.poll(max(0.0, wait) * 1000)}
         now = time.monotonic()
-        if not ready or any(fd not in ready and t <= now
-                            for fd, t in deadlines.items()):
+        if any(t <= now for fd, t in deadlines.items() if fd not in ready):
             raise TimeoutError
         for fd in ready:
             k = session[fd]
@@ -273,9 +290,8 @@ def _timed_lines(procs):
             if not chunk:
                 poller.unregister(fd)
                 del deadlines[fd]
+                exits[k] = now + REPLY_TIMEOUT_S
                 yield k, tails[fd]
-                if procs[k].wait(REPLY_TIMEOUT_S):
-                    return
                 continue
             tails[fd] += chunk
             if b"\n" in chunk:
@@ -375,7 +391,7 @@ def run_protocol(command: str, requests) -> FeatureMatrix:
             rows, got = _read_replies(_timed_lines(procs), slots)
             failed = [(p.returncode, err)
                       for p, err in zip(procs, errs) if p.poll()]
-        except (TimeoutError, subprocess.TimeoutExpired):
+        except TimeoutError:
             raise ExtractorFailure(
                 f"extractor sent no reply line for {REPLY_TIMEOUT_S:g} s "
                 "and was killed"

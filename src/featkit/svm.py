@@ -401,14 +401,15 @@ def train_binary(x, y, cfg: SolverConfig) -> BinaryModel:
     )
 
 
-def decision(model, x):
+def decision(model, x, counts=1):
     """Raw linear scores w.x (+ bias weight when enabled).
 
     ``model`` is a :class:`BinaryModel`, or a :class:`MulticlassModel`
     whose binary models are stacked in key order; ``x`` is one
-    vector (d,) or rows (n, d).  All scores come from one product
-    ``x @ W.T + b``.  A binary model gives a float for one vector and
-    (n,) for rows; a multiclass model gives (M,) or (n, M).
+    vector (d,) or rows (n, d), each the sum of ``counts`` rows (a
+    scalar or one per row).  All scores come from one product
+    ``x @ W.T + counts * b``.  A binary model gives a float for one
+    vector and (n,) for rows; a multiclass model gives (M,) or (n, M).
     """
     if isinstance(model, MulticlassModel):
         w = np.stack([m.w for m in model.models.values()])
@@ -422,7 +423,7 @@ def decision(model, x):
         )
     rows = np.atleast_2d(a)
     if model.bias:
-        scores = rows @ w[:, :-1].T + w[:, -1]
+        scores = rows @ w[:, :-1].T + np.multiply.outer(counts, w[:, -1])
     else:
         scores = rows @ w.T
     if isinstance(model, BinaryModel):

@@ -30,6 +30,12 @@ The modes below serve a batch split over several sessions:
     also-reply ID
                 answer like derive, plus a reply for ID when the session
                 was not sent ID
+    linger DIR  answer with each derive vector repeated to 4096 values.
+                A session sent image ``linger`` replies, closes its
+                stdout, leaves DIR/closed, then waits for DIR/done for at
+                most 10 s and exits 0, or 4 if none comes.  Any other
+                session waits for DIR/closed as long, replies (more than
+                a pipe buffer in all) and then leaves DIR/done
 """
 
 import os
@@ -56,6 +62,31 @@ def rendezvous(folder) -> bool:
     return False
 
 
+def wait_for(path) -> bool:
+    for _ in range(200):
+        if os.path.exists(path):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+def linger(requests, folder) -> int:
+    out = "".join(reply(rid, derive(path, region) * 1024)
+                  for rid, path, region in requests)
+    if "linger" in {path for _, path, _ in requests}:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        open(os.path.join(folder, "closed"), "w").close()
+        return 0 if wait_for(os.path.join(folder, "done")) else 4
+    if not wait_for(os.path.join(folder, "closed")):
+        return 4
+    sys.stdout.write(out)
+    sys.stdout.flush()
+    open(os.path.join(folder, "done"), "w").close()
+    return 0
+
+
 def main() -> int:
     mode = sys.argv[1] if len(sys.argv) > 1 else "fixed"
     arg = sys.argv[2] if len(sys.argv) > 2 else None
@@ -68,6 +99,8 @@ def main() -> int:
     requests = [line.rstrip("\n").split("\t") for line in sys.stdin
                 if line.rstrip("\n")]
     paths = {path for _, path, _ in requests}
+    if mode == "linger":
+        return linger(requests, arg)
     if mode == "crash-if" and arg in paths:
         sys.stderr.write(f"crashed on {arg}\n")
         return 3

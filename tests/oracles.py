@@ -333,6 +333,43 @@ def ovo_vote_oracle(classes, pair_scores):
     return classes[ranked[0]]
 
 
+def pooled_scores_oracle(model, ids, x, mode):
+    """Every view's score of every binary model, exact in rationals, then
+    pooled per image in plain Python (``sum`` or ``max``).
+
+    Rows group under the id before a final ``#`` and ASCII digits, or
+    under their own id.  Returns ``(bases, views, scores, scale)``: the
+    images in first-appearance order, their view counts, each pooled
+    score rounded once to a float, and ``sum_v |w|.|x_v| + n_views |b|``
+    per image and model, against which a float computation's error is
+    bounded.
+    """
+    from fractions import Fraction
+
+    images = {}
+    for rep_id, row in zip(ids, x):
+        base, sep, k = rep_id.rpartition("#")
+        key = base if sep and k.isascii() and k.isdigit() else rep_id
+        images.setdefault(key, []).append([Fraction(v) for v in row])
+    scores, scale = [], []
+    for views in images.values():
+        s_row, a_row = [], []
+        for m in model.models.values():
+            w = [Fraction(v) for v in m.w]
+            b = w.pop() if m.bias else Fraction(0)
+            per_view = [sum(wj * xj for wj, xj in zip(w, xv)) + b
+                        for xv in views]
+            s_row.append(float(sum(per_view) if mode == "sum"
+                               else max(per_view)))
+            a_row.append(float(sum(abs(wj * xj) for xv in views
+                                   for wj, xj in zip(w, xv))
+                               + len(views) * abs(b)))
+        scores.append(s_row)
+        scale.append(a_row)
+    views = np.array([len(v) for v in images.values()])
+    return list(images), views, np.array(scores), np.array(scale)
+
+
 # --------------------------------------------------------------------
 # PCAW1 component text
 # --------------------------------------------------------------------

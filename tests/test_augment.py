@@ -14,6 +14,7 @@ from featkit.augment import (
     pool_responses,
     positive_mirror_plans,
     quadrant_rects,
+    representation_groups,
 )
 from featkit.errors import DegenerateImage, EmptyInput, UnknownId
 from featkit.extractors import (
@@ -135,38 +136,85 @@ class TestPositiveAndNegativePlans:
 
 class TestPoolResponses:
     def test_sum_and_max(self):
-        assert pool_responses([1.0, 2.0, 3.0], "sum") == 6.0
-        assert pool_responses([1.0, 2.0, 3.0], "max") == 3.0
+        vals, groups = [1.0, 2.0, 3.0, 10.0, 20.0], [0, 0, 0, 1, 1]
+        assert pool_responses(vals, groups, "sum").tolist() == [6.0, 30.0]
+        assert pool_responses(vals, groups, "max").tolist() == [3.0, 20.0]
 
     def test_singleton(self):
-        assert pool_responses([4.5], "sum") == pool_responses([4.5], "max")
+        vals = np.array([[4.5, -1.0], [2.0, 0.25]])
+        for mode in ("sum", "max"):
+            assert np.array_equal(pool_responses(vals, [0, 1], mode), vals)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            pool_responses([], "sum")
+            pool_responses(np.empty((0, 3)), [], "sum")
 
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=8))
-    def test_permutation_invariance(self, vals):
-        rev = list(reversed(vals))
-        assert pool_responses(vals, "max") == pool_responses(rev, "max")
-        assert pool_responses(vals, "sum") == pytest.approx(
-            pool_responses(rev, "sum"), rel=1e-12, abs=1e-12
+    def test_mode_and_group_count_checked(self):
+        with pytest.raises(ValueError, match="unknown pooling mode 'mean'"):
+            pool_responses([1.0, 2.0], [0, 0], "mean")
+        with pytest.raises(ValueError, match="1 groups for 2 rows"):
+            pool_responses([1.0, 2.0], [0], "sum")
+
+    @given(st.lists(st.tuples(st.floats(-100, 100), st.integers(0, 3)),
+                    min_size=1, max_size=12))
+    def test_permutation_invariance(self, rows):
+        vals, keys = map(np.asarray, zip(*rows))
+        groups = np.unique(keys, return_inverse=True)[1]
+        rev = pool_responses(vals[::-1], groups[::-1], "sum")
+        assert np.array_equal(pool_responses(vals, groups, "max"),
+                              pool_responses(vals[::-1], groups[::-1], "max"))
+        assert pool_responses(vals, groups, "sum") == pytest.approx(
+            rev, rel=1e-12, abs=1e-12
         )
 
     def test_sum_additive_max_idempotent(self):
         a, b = [1.0, 2.0], [3.5]
-        assert pool_responses(a + b, "sum") == pytest.approx(
-            pool_responses(a, "sum") + pool_responses(b, "sum")
+        assert pool_responses(a + b, [0, 0, 0], "sum")[0] == pytest.approx(
+            pool_responses(a, [0, 0], "sum")[0]
+            + pool_responses(b, [0], "sum")[0]
         )
-        assert pool_responses(a + a, "max") == pool_responses(a, "max")
+        assert np.array_equal(pool_responses(a + a, [0] * 4, "max"),
+                              pool_responses(a, [0, 0], "max"))
 
-    def test_block_pools_each_column_like_its_own_list(self, rng):
-        block = rng.normal(size=(16, 5)) * 1e3
+    def test_each_group_pools_like_it_alone(self, rng):
+        # interleaved groups of unequal size, each reduced on its own rows
+        block = rng.normal(size=(23, 5)) * 1e3
+        groups = rng.permutation(np.arange(23) % 4)
         for mode in ("sum", "max"):
-            pooled = pool_responses(block, mode)
-            assert pooled.shape == (5,)
-            for j in range(5):
-                assert pooled[j] == pool_responses(list(block[:, j]), mode)
+            pooled = pool_responses(block, groups, mode)
+            assert pooled.shape == (4, 5)
+            for g in range(4):
+                alone = block[groups == g]
+                assert np.array_equal(
+                    pooled[g], pool_responses(alone, [0] * len(alone),
+                                              mode)[0])
+
+
+class TestRepresentationGroups:
+    def test_bases_in_first_appearance_order(self):
+        ids = ["b#1", "a", "b#0", "c#x", "b#2", "d#07"]
+        bases, groups = representation_groups(ids)
+        assert bases == ("b", "a", "c#x", "d")
+        assert groups.tolist() == [0, 1, 0, 2, 0, 3]
+
+    def test_inverse_of_plan_representation_id(self):
+        ids = [plan_representation_id(s, k) for s in ("x", "y#z")
+               for k in range(3)]
+        bases, groups = representation_groups(ids)
+        assert bases == ("x", "y#z")
+        assert groups.tolist() == [0, 0, 0, 1, 1, 1]
+
+    @pytest.mark.parametrize("ids, first, second", [
+        (["a", "a#0", "a#1"], "a", "a#0"),
+        (["a#0", "a"], "a#0", "a"),
+        (["b#x", "b#x#2"], "b#x", "b#x#2"),
+        (["a#7", "b#1", "a#07"], "a#7", "a#07"),
+        (["a#0", "a#00"], "a#0", "a#00"),
+    ])
+    def test_ambiguous_ids_refused(self, ids, first, second):
+        with pytest.raises(ValueError, match=(
+                f"ambiguous representation ids {first!r} and {second!r}")):
+            representation_groups(ids)
 
 
 class TestAugmentTrainingSet:

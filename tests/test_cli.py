@@ -1,6 +1,12 @@
+import itertools
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from oracles import dual_cd_reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import dual_cd_reference, ovo_vote_oracle, pooled_scores_oracle
 
 from conftest import sixteen_view_rows, stub_command
 from featkit import metrics, svm
@@ -227,6 +233,32 @@ class TestTrainPredict:
                 out.read_text(encoding="utf-8").splitlines()[1:]]
         assert rows == ["a", "a#\u00b2", "b#\u0663", "c#x", "d"]
 
+    @pytest.mark.parametrize("ids, first, second", [
+        (("a", "a#0", "a#1", "b"), "a", "a#0"),
+        (("b#x", "b#x#2", "a#0", "a#1"), "b#x", "b#x#2"),
+        (("a#7", "b#0", "a#07", "b#1"), "a#7", "a#07"),
+    ])
+    def test_ambiguous_representation_ids_refused(self, blob_data, tmp_path,
+                                                  capsys, ids, first,
+                                                  second):
+        """A plain id that is another id's sample id, or two spellings of
+        one view, would pool rows that may not belong together."""
+        matrix, _, fpath, lpath = blob_data
+        model_path = tmp_path / "m.tsvm"
+        assert run(
+            "train", "--features", fpath, "--labels", lpath,
+            "--strategy", "ovo", "--C", "1.0", "--model-out", model_path,
+        ) == 0
+        rpath = tmp_path / "reps.tsv"
+        save_features(FeatureMatrix(ids, matrix.values[:4]), rpath)
+        out = tmp_path / "preds.tsv"
+        capsys.readouterr()
+        assert run("predict", "--model", model_path, "--features", rpath,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{first!r} and {second!r}" in err
+        assert not out.exists()
+
     def test_failed_model_write_leaves_no_file(self, blob_data, tmp_path,
                                                monkeypatch, capsys):
         _, _, fpath, lpath = blob_data
@@ -423,6 +455,81 @@ class TestTrainPredict:
             "--out", out,
         ) == 2
         assert not out.exists()
+
+
+def _random_model(strategy, seed, dim=6, classes=("ant", "bee", "cat",
+                                                  "dog")):
+    rng = np.random.default_rng(seed)
+    keys = (list(itertools.combinations(range(len(classes)), 2))
+            if strategy == "ovo" else list(range(len(classes))))
+    models = {key: svm.BinaryModel(rng.normal(size=dim + 1), 1.0, 0.0, True)
+              for key in keys}
+    return svm.MulticlassModel(strategy, classes, models, True)
+
+
+def _check_pooled_predict(model, ids, x, folder):
+    """``predict`` in both modes against :func:`pooled_scores_oracle`.
+
+    A pooled score may differ from the exact one by n + d + 3 roundings
+    of ``u * (sum_v |w|.|x_v| + n_views |b|)`` for an image of n views at
+    dimension d; a one-vs-one label may differ only where a pair score
+    lies within that bound of 0.
+    """
+    mpath, fpath, out = folder / "m.tsvm", folder / "x.tsv", folder / "p.tsv"
+    svm.save_model(model, mpath)
+    save_features(FeatureMatrix(tuple(ids), x), fpath)
+    for mode in ("sum", "max"):
+        assert run("predict", "--model", mpath, "--features", fpath,
+                   "--pooling", mode, "--out", out) == 0
+        bases, views, want, scale = pooled_scores_oracle(model, ids, x, mode)
+        bound = ((views[:, None] + x.shape[1] + 3) * np.finfo(float).eps / 2
+                 * scale)
+        rows = [ln.split("\t") for ln in out.read_text().splitlines()]
+        if model.strategy == "ova":
+            assert rows[0] == ["id", *model.classes]
+            rows = rows[1:]
+        assert [r[0] for r in rows] == bases
+        if model.strategy == "ova":
+            got = np.array([[float(v) for v in r[1:]] for r in rows])
+            assert np.all(np.abs(got - want) <= bound)
+            continue
+        for (_, label), s, b in zip(rows, want, bound):
+            if np.all(np.abs(s) > b):
+                assert label == ovo_vote_oracle(
+                    model.classes, dict(zip(model.models, s)))
+
+
+class TestPooledPredictOracle:
+    """``predict`` pools each image's views as scoring every view exactly
+    and pooling per image in plain Python does."""
+
+    @pytest.mark.parametrize("strategy", ["ova", "ovo"])
+    def test_unequal_interleaved_and_plain_ids(self, rng, tmp_path,
+                                               strategy):
+        ids = (["solo"] + [f"pair#{k}" for k in range(2)]
+               + [f"big#{k}" for k in range(16)] + ["q#x"]
+               + [f"five#{k}" for k in (4, 0, 3, 1, 2)])
+        order = rng.permutation(len(ids))
+        x = rng.normal(size=(len(ids), 6)) * rng.uniform(
+            1e-3, 1e3, size=(len(ids), 1))
+        _check_pooled_predict(_random_model(strategy, 7),
+                              [ids[i] for i in order], x, tmp_path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(strategy=st.sampled_from(["ova", "ovo"]),
+           seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+           plain=st.booleans())
+    def test_random_groupings(self, strategy, seed, sizes, plain):
+        rng = np.random.default_rng(seed)
+        ids = [f"img{g}#{k}" for g, n in enumerate(sizes) for k in range(n)]
+        if plain:
+            ids.append("plain")
+        order = rng.permutation(len(ids))
+        x = rng.normal(size=(len(ids), 6))
+        with tempfile.TemporaryDirectory() as tmp:
+            _check_pooled_predict(_random_model(strategy, seed),
+                                  [ids[i] for i in order], x, Path(tmp))
 
 
 class TestEvaluate:

@@ -61,7 +61,8 @@ PACKAGE_SURFACE = (
     "mean_diag_accuracy", "negative_expansion_plans", "objective",
     "patch_grid", "pca_fit", "pca_whiten_apply", "pool_responses",
     "positive_mirror_plans", "pr_curve", "predict_ovo_from_scores",
-    "query_distance", "recall_at_k", "retrieval_pipeline_apply",
+    "query_distance", "recall_at_k", "representation_groups",
+    "retrieval_pipeline_apply",
     "retrieval_pipeline_fit", "save_features", "save_index", "save_model",
     "save_pca_model", "search", "signed_power", "smallest_enclosing_square",
     "train_binary", "train_one_vs_all", "train_one_vs_one",
@@ -415,6 +416,20 @@ class TestSessionsPerCore:
             run_protocol(stub_command("hang-if img0"), reqs)
         assert len(popen_starts) == 2
         assert [p.returncode for p in popen_starts] == [-signal.SIGKILL] * 2
+
+    def test_lingering_session_does_not_stall_the_other(self, tmp_path,
+                                                        popen_starts):
+        # The "linger" session closes its stdout first and exits only
+        # once the other has written more than a pipe buffer, which that
+        # one can do only if its replies are read meanwhile.
+        reqs = self._requests({"linger": 1, "img1": 4})
+        command = stub_command(f"linger {shlex.quote(str(tmp_path))}")
+        m = run_protocol(command, reqs)
+        assert m.ids == tuple(r for r, _, _ in reqs)
+        assert m.values.shape == (5, 4096)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["closed",
+                                                              "done"]
+        assert [p.returncode for p in popen_starts] == [0, 0]
 
     def test_missing_reply_named_in_request_order(self):
         reqs = self._requests({"img0": 2, "img1": 2})

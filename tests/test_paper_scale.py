@@ -77,6 +77,14 @@ def test_ovo_mode_times_the_model_text(capsys):
     assert int(fields["model_bytes"]) > 6 * 17 * 10
     assert fields["weights_round_trip"] == "1"
     assert float(fields["peak_rss_mb"]) > 0.0
+    # then predict's scoring of 20 images per class, 16 views each
+    assert (fields["images"], fields["views"]) == ("80", "1280")
+    for stage in ("representation_groups", "predict_pooled",
+                  "predict_per_view"):
+        assert float(fields[f"{stage}_s"]) >= 0.0
+    assert fields["labels_agree"] == "1"
+    # both paths round a 16-view sum of 17-term products
+    assert 0.0 <= float(fields["max_score_diff_u"]) <= 2 * (16 + 17)
 
 
 def test_ovo_classes_must_be_at_least_two():

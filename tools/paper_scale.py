@@ -31,13 +31,20 @@ the input shape and size, the RSS before the fit, each stage's seconds,
 the index bytes, how many searches ranked their own reference first at
 distance 0.0, and the process's peak RSS.
 
-``--ovo-classes K`` times the OTSVM1 text of a K-class one-vs-one model,
-as MIT-67 (K = 67) trains one per class pair: K(K-1)/2 binary models of
-4096 seeded normal weights plus a bias weight.  It times ``save_model``
-to a temporary file and ``load_model``, and prints tab-separated lines:
-the class and pair-model counts, each stage's seconds, the file bytes,
-whether the loaded weights equal the saved ones bit for bit, and the
-process's peak RSS.
+``--ovo-classes K`` times a K-class one-vs-one model, as MIT-67 (K = 67)
+trains one per class pair: K(K-1)/2 binary models of 4096 seeded normal
+weights plus a bias weight.  It times ``save_model`` to a temporary file
+and ``load_model``, then ``featkit predict --pooling sum``'s scoring of
+MIT-67's test shape, 20 images per class of 16 unit-norm views each:
+grouping the view ids, then each path scoring, pooling and voting every
+image.  The pooled path is predict's (each image's views summed, one
+product with the bias weight times 16); the per-view path scores every
+view and sums each image's scores, as predict did before pooling first.
+It prints tab-separated lines: the class, pair-model and image counts,
+each stage's seconds, the file bytes, whether the loaded weights equal
+the saved ones bit for bit, whether both paths vote every image alike,
+the largest pooled-score difference in units of
+``u * (sum_v |w|.|x_v| + 16 |b|)``, and the process's peak RSS.
 
 ``--cli-refs N`` and ``--cli-rows N`` run the ``featkit`` commands
 themselves, each as a child process, on seeded FVEC1 files written to a
@@ -76,6 +83,10 @@ import numpy as np
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
+from featkit.augment import (  # noqa: E402
+    pool_responses,
+    representation_groups,
+)
 from featkit.features import FeatureMatrix, save_features  # noqa: E402
 from featkit.preprocess import (  # noqa: E402
     retrieval_pipeline_apply,
@@ -94,13 +105,16 @@ from featkit.svm import (  # noqa: E402
     C_PRESETS,
     MulticlassModel,
     SolverConfig,
+    decision,
     load_model,
+    predict_ovo_from_scores,
     save_model,
     train_binary,
 )
 
 VIEWS = 16
 CLASSES = 4
+TEST_IMAGES_PER_CLASS = 20  # MIT-67's test split
 DIM = 4096
 SEARCHES = 5
 
@@ -220,6 +234,45 @@ def _ovo_model(classes: int) -> None:
     same = all(np.array_equal(loaded.models[key].w, m.w)
                for key, m in models.items())
     print(f"weights_round_trip\t{int(same)}")
+    del models, model
+    _predict(loaded, TEST_IMAGES_PER_CLASS * classes)
+
+
+def _per_view_path(model, x):
+    """Every view scored, then each image's 16 scores summed per pair as
+    one contiguous run, as predict pooled before it summed rows; then the
+    vote.  Returns the labels and the pooled scores."""
+    scores = decision(model, x)
+    pooled = np.stack([
+        np.ascontiguousarray(scores[i:i + VIEWS].T).sum(axis=-1)
+        for i in range(0, len(scores), VIEWS)
+    ])
+    return predict_ovo_from_scores(model, pooled), pooled
+
+
+def _pooled_path(model, x, groups):
+    """predict --pooling sum: one product over each image's summed views
+    with the bias weight times its view count, then the vote."""
+    pooled = decision(model, pool_responses(x, groups, "sum"),
+                      np.bincount(groups))
+    return predict_ovo_from_scores(model, pooled), pooled
+
+
+def _predict(model, images: int) -> None:
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((images * VIEWS, DIM))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    ids = [f"img{i}#{v}" for i in range(images) for v in range(VIEWS)]
+    print(f"images\t{images}\nviews\t{x.shape[0]}", flush=True)
+    _, groups = _timed("representation_groups", representation_groups, ids)
+    labels, pooled = _timed("predict_pooled", _pooled_path, model, x, groups)
+    want, per_view = _timed("predict_per_view", _per_view_path, model, x)
+    print(f"labels_agree\t{int(labels == want)}")
+    w = np.abs(np.stack([m.w for m in model.models.values()]))
+    abs_sums = pool_responses(np.abs(x, out=x), groups, "sum")
+    scale = abs_sums @ w[:, :-1].T + VIEWS * w[:, -1]
+    diff = np.abs(pooled - per_view) / (np.finfo(float).eps / 2 * scale)
+    print(f"max_score_diff_u\t{diff.max():.2f}")
 
 
 # Run as ``python -S -c SPAWN command...``: starts the command and
